@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_header
-from repro.hmm import ScaledBatchedBackend, streaming_log_likelihood
+from repro.hmm import CompiledCorpus, ScaledBatchedBackend, streaming_log_likelihood
 
 #: Sequence length for the long-decode gate.  The default reproduces the
 #: paper-scale T=1M workload; override to shrink smoke runs.
@@ -91,10 +91,15 @@ def test_long_sequence_decode(benchmark):
     # Warm numpy/the kernel on a small prefix so first-call overheads do
     # not pollute the single-shot serial timing below.
     backend.viterbi_long(pi, transmat, table[:20_000], window=_WINDOW, overlap=_OVERLAP)
-    backend.viterbi(pi, transmat, [table[:20_000]])
+    warm = CompiledCorpus([table[:20_000]])
+    backend.viterbi_corpus(pi, transmat, warm, warm.extend_scores(warm.concat))
 
+    # The serial baseline is one unchunked (1, T, K) bucket: a one-sequence
+    # corpus compiled without a long-sequence threshold.
+    corpus = CompiledCorpus([table])
+    scores_ext = corpus.extend_scores(table)
     start = time.perf_counter()
-    serial_path, serial_lj = backend.viterbi(pi, transmat, [table])[0]
+    serial_path, serial_lj = backend.viterbi_corpus(pi, transmat, corpus, scores_ext)[0]
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -1,9 +1,8 @@
 """Determinantal point process substrate.
 
 Provides the probability product kernel between discrete distributions, the
-normalized correlation kernel used by the dHMM transition prior, log-det
-scores and gradients, elementary symmetric polynomials, and discrete
-(k-)DPP samplers and MAP inference for completeness.
+normalized correlation kernel used by the dHMM transition prior, and
+log-det scores and gradients.
 """
 
 from repro.dpp.kernels import (
@@ -18,10 +17,6 @@ from repro.dpp.log_det import (
     dpp_log_prior_and_gradient,
     dpp_log_prior_gradient,
 )
-from repro.dpp.esp import elementary_symmetric_polynomials
-from repro.dpp.kdpp import KDPP
-from repro.dpp.sampler import sample_dpp, sample_kdpp
-from repro.dpp.map_inference import greedy_map_dpp
 
 __all__ = [
     "probability_product_kernel",
@@ -32,9 +27,4 @@ __all__ = [
     "dpp_log_prior",
     "dpp_log_prior_and_gradient",
     "dpp_log_prior_gradient",
-    "elementary_symmetric_polynomials",
-    "KDPP",
-    "sample_dpp",
-    "sample_kdpp",
-    "greedy_map_dpp",
 ]

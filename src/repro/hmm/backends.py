@@ -1,27 +1,29 @@
 """Inference backends: batched scaled-domain and per-sequence log-domain.
 
 The engine (:mod:`repro.hmm.engine`) delegates all forward-backward, Viterbi
-and likelihood computations to an :class:`InferenceBackend`.  Two backends
-are provided:
+and likelihood computations to an :class:`InferenceBackend`.  Every backend
+entry point runs over a :class:`~repro.hmm.corpus.CompiledCorpus` and its
+``(n_tokens + 1, K)`` emission table; the engine compiles a list of
+per-sequence tables into a corpus before calling in.  Two backends are
+provided:
 
 * :class:`ScaledBatchedBackend` — the default.  Runs the forward-backward
   recursions in the probability domain with Rabiner's per-timestep scaling,
-  so no ``logsumexp`` appears in any inner loop, and batches sequences into
-  padded length-buckets so every timestep is a single ``(B, K) @ (K, K)``
-  matmul over the whole bucket.  The pairwise posteriors ``xi_sum`` are
-  accumulated with one matmul per sequence instead of a Python loop over
-  ``T``.  Viterbi decoding runs batched in the *log* domain (its recursion
-  is max-only, so no scaling is needed) through a fused kernel that is
-  bit-identical to the reference — see :meth:`_viterbi_bucket`.  Both
-  paths also expose compiled-corpus entry points
-  (``forward_backward_corpus`` / ``viterbi_corpus`` /
-  ``log_likelihood_corpus``) that consume a
-  :class:`~repro.hmm.corpus.CompiledCorpus`'s precomputed bucket/index
-  structure instead of re-packing per call and return corpus-level stacked
-  statistics.
+  so no ``logsumexp`` appears in any inner loop, over the corpus' padded
+  length-buckets, so every timestep is a single ``(B, K) @ (K, K)`` matmul
+  over the whole bucket.  Each bucket's emission tensor is one
+  :meth:`~repro.hmm.corpus.CompiledCorpus.gather`, and the pairwise
+  posteriors ``xi_sum`` are accumulated with matmuls instead of a Python
+  loop over ``T``.  Viterbi decoding runs batched in the *log* domain (its
+  recursion is max-only, so no scaling is needed) through a fused kernel
+  that is bit-identical to the reference — see :meth:`_viterbi_bucket`.
+  Sequences compiled into long-sequence window plans
+  (``corpus.long_windows``) run through the chunked / checkpointed kernels
+  of :mod:`repro.hmm.longseq` instead of a padded bucket row.
 * :class:`LogDomainBackend` — the original per-sequence log-space
-  recursions, kept as a bit-identical reference so equivalence of the
-  scaled engine is testable (see ``tests/test_hmm_engine.py``).
+  recursions over ``corpus.tables(scores_ext)``, kept as the exact
+  reference so equivalence of the scaled engine is testable (see
+  ``tests/test_hmm_engine.py``).
 
 Scaling scheme
 --------------
@@ -42,17 +44,16 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.hmm.corpus import (
     CompiledCorpus,
-    CorpusBucket,
     CorpusPosteriors,
+    LongSequenceWindows,
     bucket_indices,
 )
 from repro.hmm.forward_backward import (
@@ -61,8 +62,10 @@ from repro.hmm.forward_backward import (
     log_forward,
 )
 from repro.hmm.longseq import (
+    _TINY,
     ArraySource,
     LongDecodeResult,
+    _obs_weights,
     checkpointed_posteriors,
     chunked_viterbi,
     streaming_log_likelihood,
@@ -82,12 +85,6 @@ __all__ = [  # noqa: F822 - bucket_indices is re-exported for backward compat
     "bucket_indices",
     "viterbi_backpointer_dtype",
 ]
-
-_T = TypeVar("_T")
-
-#: Smallest admissible scaling constant; prevents division by zero when an
-#: entire forward message underflows (mirrors ``LOG_EPS`` of the reference).
-_TINY = 1e-300
 
 
 def viterbi_backpointer_dtype(n_states: int) -> np.dtype:
@@ -109,205 +106,52 @@ def viterbi_backpointer_dtype(n_states: int) -> np.dtype:
 
 
 class InferenceBackend(abc.ABC):
-    """Strategy object performing batched HMM inference primitives.
+    """Strategy object performing HMM inference over a compiled corpus.
 
-    All methods take probability-domain parameters plus *precomputed*
-    log-likelihood tables (one ``(T_n, K)`` array per sequence) and return
-    per-sequence results in the original input order.  The caller (the
-    engine) is responsible for computing the emission tables once and for
-    caching derived parameters such as ``log(A)``.
+    Every method takes probability-domain parameters, a
+    :class:`~repro.hmm.corpus.CompiledCorpus` and its ``(n_tokens + 1, K)``
+    emission table (:meth:`CompiledCorpus.score` /
+    :meth:`CompiledCorpus.extend_scores`), plus the engine's cached
+    ``log(pi)`` / ``log(A)`` when available, and returns results in corpus
+    order.
     """
 
     name: str = "abstract"
 
-    #: Whether the backend consumes the engine's cached ``log(pi)``/``log(A)``
-    #: (passed via the ``log_startprob``/``log_transmat`` keywords).  Backends
-    #: that work in the probability domain leave this False so the engine
-    #: never derives logs it would not use.
-    wants_log_params: bool = False
-
     @abc.abstractmethod
-    def forward_backward(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_obs_seqs: Sequence[np.ndarray],
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> list[SequencePosteriors]:
-        """Posterior statistics (gamma, xi_sum, log-likelihood) per sequence."""
-
-    @abc.abstractmethod
-    def viterbi(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_obs_seqs: Sequence[np.ndarray],
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> list[tuple[np.ndarray, float]]:
-        """Most likely state path and joint log-probability per sequence."""
-
-    @abc.abstractmethod
-    def log_likelihood(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_obs_seqs: Sequence[np.ndarray],
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Log marginal likelihood of every sequence (1-D array)."""
-
-    # -------------------------------------------------------------- #
-    # Compiled-corpus entry points
-    # -------------------------------------------------------------- #
-    # The generic implementations split the corpus-level score table into
-    # per-sequence views and delegate to the per-sequence methods, then
-    # re-assemble corpus-level statistics.  They define the reference
-    # semantics; backends with native bucket kernels (the scaled backend)
-    # override them with zero-per-sequence-Python versions.
-
-    @staticmethod
-    def _check_corpus_table(
-        startprob: np.ndarray, corpus: CompiledCorpus, scores_ext: np.ndarray
-    ) -> None:
-        """Reject score tables missing the sentinel pad row.
-
-        An un-extended ``(n_tokens, K)`` table would silently shift every
-        split boundary and truncate the last sequence; insist on the
-        ``(n_tokens + 1, K)`` shape that :meth:`CompiledCorpus.score` /
-        :meth:`CompiledCorpus.extend_scores` produce.
-        """
-        expected = (corpus.n_tokens + 1, np.asarray(startprob).shape[0])
-        if np.asarray(scores_ext).shape != expected:
-            raise DimensionMismatchError(
-                f"corpus score table must have shape {expected} "
-                f"(CompiledCorpus.score output), got {np.asarray(scores_ext).shape}"
-            )
-
     def forward_backward_corpus(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> CorpusPosteriors:
         """Stacked posterior statistics over a whole compiled corpus."""
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        results = self.forward_backward(
-            startprob,
-            transmat,
-            corpus.tables(scores_ext),
-            log_startprob=log_startprob,
-            log_transmat=log_transmat,
-        )
-        n_states = np.asarray(startprob).shape[0]
-        gamma_concat = (
-            np.concatenate([r.gamma for r in results], axis=0)
-            if len(results) > 1
-            else results[0].gamma
-        )
-        start_counts = np.zeros(n_states)
-        xi_sum = np.zeros((n_states, n_states))
-        for r in results:
-            start_counts += r.gamma[0]
-            xi_sum += r.xi_sum
-        return CorpusPosteriors(
-            gamma_concat=gamma_concat,
-            start_counts=start_counts,
-            xi_sum=xi_sum,
-            log_likelihoods=np.array([r.log_likelihood for r in results]),
-        )
 
+    @abc.abstractmethod
+    def forward_backward_sequences(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
+    ) -> list[SequencePosteriors]:
+        """Posterior statistics (gamma, xi_sum, log-likelihood) per corpus sequence."""
+
+    @abc.abstractmethod
     def viterbi_corpus(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
         """Most likely path and joint log-probability per corpus sequence."""
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        return self.viterbi(
-            startprob,
-            transmat,
-            corpus.tables(scores_ext),
-            log_startprob=log_startprob,
-            log_transmat=log_transmat,
-        )
 
+    @abc.abstractmethod
     def log_likelihood_corpus(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        corpus: CompiledCorpus,
-        scores_ext: np.ndarray,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
         """Log marginal likelihood of every corpus sequence (1-D array)."""
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        return self.log_likelihood(
-            startprob,
-            transmat,
-            corpus.tables(scores_ext),
-            log_startprob=log_startprob,
-            log_transmat=log_transmat,
-        )
 
-    # -------------------------------------------------------------- #
-    # Long-sequence (chunked) decoding
-    # -------------------------------------------------------------- #
+    @abc.abstractmethod
     def viterbi_long(
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        source,
-        *,
-        window: int,
-        overlap: int,
-        group_size: int = 64,
-        log_startprob: np.ndarray | None = None,
-        log_transmat: np.ndarray | None = None,
+        self, startprob, transmat, source, *, window, overlap, group_size=None,
+        log_startprob=None, log_transmat=None,
     ) -> LongDecodeResult:
-        """Chunked Viterbi over a long sequence (see :func:`chunked_viterbi`).
-
-        The generic implementation batches each group of windows through
-        :meth:`viterbi`; backends with a native bucket kernel override it
-        to feed the padded window tensor to the kernel directly, skipping
-        the per-window repack.
-        """
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        if log_startprob is None:
-            log_startprob = safe_log(startprob)
-        if log_transmat is None:
-            log_transmat = safe_log(transmat)
-
-        def decode_bucket(start_log, padded, lengths):
-            return self.viterbi(
-                startprob,
-                transmat,
-                list(padded),
-                log_startprob=start_log,
-                log_transmat=log_transmat,
-            )
-
-        return chunked_viterbi(
-            log_startprob,
-            log_transmat,
-            source,
-            window=window,
-            overlap=overlap,
-            group_size=group_size,
-            decode_bucket=decode_bucket,
-        )
+        """Chunked Viterbi over one long sequence (see :func:`chunked_viterbi`)."""
 
 
 def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
@@ -323,15 +167,73 @@ def _check_params(startprob: np.ndarray, transmat: np.ndarray) -> None:
         )
 
 
-def _check_tables(n_states: int, log_obs_seqs: Sequence[np.ndarray]) -> None:
-    for log_obs in log_obs_seqs:
-        if log_obs.ndim != 2 or log_obs.shape[1] != n_states:
-            raise DimensionMismatchError(
-                f"observation log-likelihoods must have shape (T, {n_states}), "
-                f"got {log_obs.shape}"
-            )
-        if log_obs.shape[0] < 1:
-            raise DimensionMismatchError("sequences must have at least one timestep")
+def _check_corpus(
+    startprob, transmat, corpus: CompiledCorpus, scores_ext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 parameters and score table, shape-checked against the corpus.
+
+    An un-extended ``(n_tokens, K)`` table would silently shift every split
+    boundary and truncate the last sequence; insist on the
+    ``(n_tokens + 1, K)`` shape that :meth:`CompiledCorpus.score` /
+    :meth:`CompiledCorpus.extend_scores` produce.
+    """
+    startprob = np.asarray(startprob, dtype=np.float64)
+    transmat = np.asarray(transmat, dtype=np.float64)
+    _check_params(startprob, transmat)
+    scores_ext = np.asarray(scores_ext, dtype=np.float64)
+    expected = (corpus.n_tokens + 1, startprob.shape[0])
+    if scores_ext.shape != expected:
+        raise DimensionMismatchError(
+            f"corpus score table must have shape {expected} "
+            f"(CompiledCorpus.score output), got {scores_ext.shape}"
+        )
+    return startprob, transmat, scores_ext
+
+
+def _log_params(startprob, transmat, log_startprob, log_transmat):
+    """``(log pi, log A)``, reusing the engine's cached logs when given."""
+    if log_startprob is None:
+        log_startprob = safe_log(startprob)
+    if log_transmat is None:
+        log_transmat = safe_log(transmat)
+    return log_startprob, log_transmat
+
+
+def _window_source(scores_ext: np.ndarray, lw: LongSequenceWindows) -> ArraySource:
+    """Block source over a long sequence's slice of the corpus score table."""
+    return ArraySource(scores_ext[lw.offset : lw.offset + lw.length])
+
+
+def _reference_log_likelihood(log_pi, log_A, log_obs) -> float:
+    """Log marginal likelihood by the log-domain forward recursion."""
+    return float(logsumexp(log_forward(log_pi, log_A, log_obs)[-1]))
+
+
+def _underflow_repairs(
+    startprob: np.ndarray,
+    transmat: np.ndarray,
+    log_b: np.ndarray,
+    lengths: np.ndarray,
+    underflow: np.ndarray,
+    reference=compute_posteriors_from_log,
+) -> list:
+    """Log-domain reference results for the bucket rows that underflowed.
+
+    A forward message summing to exactly zero means the probability domain
+    underflowed (a genuinely impossible sequence, or a >700-nat spread only
+    the log domain can represent).  Such rows are recomputed with the
+    log-domain ``reference`` (posteriors by default, or
+    :func:`_reference_log_likelihood`), so the scaled backend never
+    misreports them; returns ``(row, result)`` pairs, empty in the common
+    case.
+    """
+    if not underflow.any():
+        return []
+    log_pi, log_A = safe_log(startprob), safe_log(transmat)
+    return [
+        (int(b), reference(log_pi, log_A, log_b[b, : lengths[b]]))
+        for b in np.flatnonzero(underflow)
+    ]
 
 
 class ScaledBatchedBackend(InferenceBackend):
@@ -341,71 +243,20 @@ class ScaledBatchedBackend(InferenceBackend):
     ----------
     bucket_size:
         Maximum number of sequences processed together in one padded
-        ``(B, L_max, K)`` tensor.  Sequences are sorted by length first, so
+        ``(B, L_max, K)`` tensor; :meth:`repro.hmm.engine.InferenceEngine.compile`
+        buckets corpora with it.  Sequences are sorted by length first, so
         buckets are nearly rectangular.
-    n_workers:
-        Number of threads mapping bucket kernels over the buckets of one
-        call.  The default of 1 keeps everything on the calling thread;
-        values above 1 opt in to a thread pool (numpy releases the GIL
-        inside the matmul-heavy kernels, so large multi-bucket corpora can
-        overlap).  Set process-wide via
-        :attr:`repro.core.config.InferenceConfig.n_workers`.
     """
 
     name = "scaled"
-    #: The Viterbi kernel runs in the log domain (max-only recursions need
-    #: no scaling), so the engine's cached ``log(pi)`` / ``log(A)`` are
-    #: consumed when available; the forward-backward path ignores them.
-    wants_log_params = True
 
-    def __init__(self, bucket_size: int = 64, n_workers: int = 1) -> None:
+    def __init__(self, bucket_size: int = 64) -> None:
         if bucket_size < 1:
             raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be positive, got {n_workers}")
         self.bucket_size = bucket_size
-        self.n_workers = n_workers
         #: dtype of the most recent Viterbi backpointer allocation;
         #: introspection hook for the benchmark's memory-footprint gate.
         self.last_backpointer_dtype: np.dtype | None = None
-
-    def _map_buckets(
-        self, fn: Callable[[CorpusBucket], _T], buckets: Sequence[CorpusBucket]
-    ) -> list[_T]:
-        """Run one kernel per bucket, on a thread pool when opted in.
-
-        Kernels are pure functions of their bucket (all mutation of shared
-        accumulators happens on the calling thread afterwards), so threading
-        is safe; it only pays off when there are several buckets of real
-        work, hence the sequential default.
-        """
-        if self.n_workers > 1 and len(buckets) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.n_workers, len(buckets))
-            ) as pool:
-                return list(pool.map(fn, buckets))
-        return [fn(bucket) for bucket in buckets]
-
-    # -------------------------------------------------------------- #
-    # Packing helpers
-    # -------------------------------------------------------------- #
-    def _pack(
-        self, log_obs_seqs: Sequence[np.ndarray], idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the selected sequences into a zero-padded ``(B, L, K)`` tensor."""
-        lengths = np.array([log_obs_seqs[j].shape[0] for j in idx], dtype=np.int64)
-        n_states = log_obs_seqs[idx[0]].shape[1]
-        padded = np.zeros((idx.size, int(lengths.max()), n_states))
-        for row, j in enumerate(idx):
-            padded[row, : lengths[row]] = log_obs_seqs[j]
-        return padded, lengths
-
-    @staticmethod
-    def _obs_weights(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-timestep max-shifted observation weights ``exp(log_b - m)``."""
-        shift = np.max(log_b, axis=2)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        return np.exp(log_b - shift[:, :, None]), shift
 
     # -------------------------------------------------------------- #
     # Bucket kernels
@@ -424,22 +275,17 @@ class ScaledBatchedBackend(InferenceBackend):
         ``c[b, t]`` its normalizer (1 in the padded region), ``obs``/``shift``
         the max-shifted observation weights, and ``underflow`` a boolean mask
         of sequences whose forward message vanished in the probability
-        domain (their ``log_likelihoods`` entries are unreliable and must be
-        recomputed with the log-domain reference).
+        domain (their results must be recomputed by
+        :func:`_underflow_repairs`).
         """
         batch, max_len, _ = log_b.shape
-        obs, shift = self._obs_weights(log_b)
+        obs, shift = _obs_weights(log_b)
 
         alpha_hat = np.empty_like(obs)
         scale = np.ones((batch, max_len))
 
         alpha = startprob[None, :] * obs[:, 0]
         raw = alpha.sum(axis=1)
-        # A forward message summing to exactly zero means the probability
-        # domain underflowed (either a genuinely impossible sequence or an
-        # extreme >700-nat spread only the log domain can represent).  Such
-        # sequences are flagged and recomputed with the log-domain reference
-        # recursions, so the scaled backend never misreports them.
         underflow = raw < _TINY
         c0 = np.maximum(raw, _TINY)
         alpha = alpha / c0[:, None]
@@ -507,42 +353,6 @@ class ScaledBatchedBackend(InferenceBackend):
             xi_weight = obs * beta_hat / scale[:, :, None]
         return alpha_hat, gamma, xi_weight, log_likelihoods, underflow
 
-    def _forward_backward_bucket(  # repro: hot-path
-        self,
-        startprob: np.ndarray,
-        transmat: np.ndarray,
-        log_b: np.ndarray,
-        lengths: np.ndarray,
-    ) -> list[SequencePosteriors]:
-        batch, _, n_states = log_b.shape
-        alpha_hat, gamma, xi_weight, log_likelihoods, underflow = (
-            self._posterior_bucket_arrays(startprob, transmat, log_b, lengths)
-        )
-
-        results: list[SequencePosteriors] = []
-        for b in range(batch):  # repro: loop-ok[ragged per-sequence xi assembly]
-            length = int(lengths[b])
-            if length > 1:
-                xi_sum = transmat * (
-                    alpha_hat[b, : length - 1].T @ xi_weight[b, 1:length]
-                )
-            else:
-                xi_sum = np.zeros((n_states, n_states))
-            results.append(
-                SequencePosteriors(
-                    gamma=gamma[b, :length].copy(),
-                    xi_sum=xi_sum,
-                    log_likelihood=float(log_likelihoods[b]),
-                )
-            )
-        if underflow.any():
-            log_pi, log_A = safe_log(startprob), safe_log(transmat)
-            for b in np.flatnonzero(underflow):  # repro: loop-ok[rare underflow repair]
-                results[b] = compute_posteriors_from_log(
-                    log_pi, log_A, log_b[b, : lengths[b]]
-                )
-        return results
-
     def _fb_corpus_bucket(  # repro: hot-path
         self,
         startprob: np.ndarray,
@@ -584,36 +394,22 @@ class ScaledBatchedBackend(InferenceBackend):
             gamma[ok, 0, :].sum(axis=0) if ok.any() else np.zeros(n_states)
         )
 
-        if underflow.any():
-            log_pi, log_A = safe_log(startprob), safe_log(transmat)
-            for b in np.flatnonzero(underflow):  # repro: loop-ok[rare underflow repair]
-                length = int(lengths[b])
-                ref = compute_posteriors_from_log(log_pi, log_A, log_b[b, :length])
-                gamma[b, :length] = ref.gamma
-                xi_part += ref.xi_sum
-                start_part = start_part + ref.gamma[0]
-                log_likelihoods[b] = ref.log_likelihood
+        repairs = _underflow_repairs(startprob, transmat, log_b, lengths, underflow)
+        for b, ref in repairs:  # repro: loop-ok[rare underflow repair]
+            gamma[b, : lengths[b]] = ref.gamma
+            xi_part += ref.xi_sum
+            start_part = start_part + ref.gamma[0]
+            log_likelihoods[b] = ref.log_likelihood
         return gamma, xi_part, start_part, log_likelihoods
 
     # -------------------------------------------------------------- #
-    # Compiled-corpus kernels (zero per-sequence Python on the hot path)
+    # Compiled-corpus entry points (zero per-sequence Python on the hot path)
     # -------------------------------------------------------------- #
-    def _check_corpus(
-        self, startprob: np.ndarray, transmat: np.ndarray,
-        corpus: CompiledCorpus, scores_ext: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        _check_params(startprob, transmat)
-        scores_ext = np.asarray(scores_ext, dtype=np.float64)
-        self._check_corpus_table(startprob, corpus, scores_ext)
-        return startprob, transmat, scores_ext
-
     def forward_backward_corpus(
         self, startprob, transmat, corpus, scores_ext,
         log_startprob=None, log_transmat=None,
     ) -> CorpusPosteriors:
-        startprob, transmat, scores_ext = self._check_corpus(
+        startprob, transmat, scores_ext = _check_corpus(
             startprob, transmat, corpus, scores_ext
         )
         n_states = startprob.shape[0]
@@ -622,16 +418,11 @@ class ScaledBatchedBackend(InferenceBackend):
         start_counts = np.zeros(n_states)
         xi_sum = np.zeros((n_states, n_states))
         lls = np.empty(corpus.n_sequences)
-
-        def run(bucket: CorpusBucket):
-            return self._fb_corpus_bucket(
+        for bucket in corpus.buckets:
+            gamma, xi_part, start_part, ll_part = self._fb_corpus_bucket(
                 startprob, transmat, corpus.gather(scores_ext, bucket),
                 bucket.lengths,
             )
-
-        for bucket, (gamma, xi_part, start_part, ll_part) in zip(
-            corpus.buckets, self._map_buckets(run, corpus.buckets)
-        ):
             gamma_ext[bucket.positions] = gamma
             xi_sum += xi_part
             start_counts += start_part
@@ -641,9 +432,7 @@ class ScaledBatchedBackend(InferenceBackend):
             # forward-backward over a view of the corpus score table keeps
             # the working set O(sqrt(T) * K) per sequence.
             r = checkpointed_posteriors(
-                startprob,
-                transmat,
-                ArraySource(scores_ext[lw.offset : lw.offset + lw.length]),
+                startprob, transmat, _window_source(scores_ext, lw)
             )
             gamma_ext[lw.offset : lw.offset + lw.length] = r.gamma
             xi_sum += r.xi_sum
@@ -656,27 +445,58 @@ class ScaledBatchedBackend(InferenceBackend):
             log_likelihoods=lls,
         )
 
+    def forward_backward_sequences(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
+    ) -> list[SequencePosteriors]:
+        """Per-sequence posteriors from the same bucket kernel as the corpus E-step.
+
+        Unlike :meth:`forward_backward_corpus` each sequence keeps its own
+        ``xi_sum`` (one ``(K, T-1) @ (T-1, K)`` matmul per sequence).
+        """
+        startprob, transmat, scores_ext = _check_corpus(
+            startprob, transmat, corpus, scores_ext
+        )
+        results: list[SequencePosteriors] = [None] * corpus.n_sequences
+        for bucket in corpus.buckets:
+            log_b = corpus.gather(scores_ext, bucket)
+            lengths = bucket.lengths
+            alpha_hat, gamma, xi_weight, lls, underflow = (
+                self._posterior_bucket_arrays(startprob, transmat, log_b, lengths)
+            )
+            for b, j in enumerate(bucket.idx):
+                length = int(lengths[b])
+                results[j] = SequencePosteriors(
+                    gamma=gamma[b, :length].copy(),
+                    xi_sum=transmat
+                    * (alpha_hat[b, : length - 1].T @ xi_weight[b, 1:length]),
+                    log_likelihood=float(lls[b]),
+                )
+            for b, ref in _underflow_repairs(
+                startprob, transmat, log_b, lengths, underflow
+            ):
+                results[bucket.idx[b]] = ref
+        for lw in corpus.long_windows:
+            results[lw.seq_index] = checkpointed_posteriors(
+                startprob, transmat, _window_source(scores_ext, lw)
+            )
+        return results
+
     def viterbi_corpus(
         self, startprob, transmat, corpus, scores_ext,
         log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
-        startprob, transmat, scores_ext = self._check_corpus(
+        startprob, transmat, scores_ext = _check_corpus(
             startprob, transmat, corpus, scores_ext
         )
         log_pi, log_AT = self._viterbi_log_params(
             startprob, transmat, log_startprob, log_transmat
         )
         results: list[tuple[np.ndarray, float]] = [None] * corpus.n_sequences
-
-        def run(bucket: CorpusBucket):
-            return self._viterbi_bucket(
-                log_pi, log_AT, corpus.gather(scores_ext, bucket),
-                bucket.lengths,
+        for bucket in corpus.buckets:
+            bucket_results = self._viterbi_bucket(
+                log_pi, log_AT, corpus.gather(scores_ext, bucket), bucket.lengths
             )
-
-        for bucket, bucket_results in zip(
-            corpus.buckets, self._map_buckets(run, corpus.buckets)
-        ):
             for j, res in zip(bucket.idx, bucket_results):
                 results[j] = res
         for lw in corpus.long_windows:
@@ -685,7 +505,7 @@ class ScaledBatchedBackend(InferenceBackend):
             long_res = self.viterbi_long(
                 startprob,
                 transmat,
-                ArraySource(scores_ext[lw.offset : lw.offset + lw.length]),
+                _window_source(scores_ext, lw),
                 window=lw.window,
                 overlap=lw.overlap,
                 log_startprob=log_startprob,
@@ -698,35 +518,25 @@ class ScaledBatchedBackend(InferenceBackend):
         self, startprob, transmat, corpus, scores_ext,
         log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
-        startprob, transmat, scores_ext = self._check_corpus(
+        startprob, transmat, scores_ext = _check_corpus(
             startprob, transmat, corpus, scores_ext
         )
         lls = np.empty(corpus.n_sequences)
-
-        def run(bucket: CorpusBucket):
+        for bucket in corpus.buckets:
             log_b = corpus.gather(scores_ext, bucket)
             _, _, _, _, bucket_lls, underflow = self._forward_bucket(
                 startprob, transmat, log_b, bucket.lengths
             )
-            if underflow.any():
-                log_pi, log_A = safe_log(startprob), safe_log(transmat)
-                for b in np.flatnonzero(underflow):
-                    log_alpha = log_forward(
-                        log_pi, log_A, log_b[b, : bucket.lengths[b]]
-                    )
-                    bucket_lls[b] = float(logsumexp(log_alpha[-1]))
-            return bucket_lls
-
-        for bucket, bucket_lls in zip(
-            corpus.buckets, self._map_buckets(run, corpus.buckets)
-        ):
+            for b, ll in _underflow_repairs(
+                startprob, transmat, log_b, bucket.lengths, underflow,
+                reference=_reference_log_likelihood,
+            ):
+                bucket_lls[b] = ll
             lls[bucket.idx] = bucket_lls
         for lw in corpus.long_windows:
             # Forward-only streamed scoring: O(K) state per long sequence.
             lls[lw.seq_index] = streaming_log_likelihood(
-                startprob,
-                transmat,
-                ArraySource(scores_ext[lw.offset : lw.offset + lw.length]),
+                startprob, transmat, _window_source(scores_ext, lw)
             )
         return lls
 
@@ -764,7 +574,7 @@ class ScaledBatchedBackend(InferenceBackend):
         no masked ``np.where`` updates at all.
         """
         if lengths.size > 1 and np.any(lengths[:-1] > lengths[1:]):
-            # Callers (batch packing, compiled corpora) always hand over
+            # Callers (compiled-corpus buckets, window groups) always hand over
             # length-sorted buckets; re-sort defensively if not.
             order = np.argsort(lengths, kind="stable")
             sorted_results = self._viterbi_bucket(
@@ -832,11 +642,8 @@ class ScaledBatchedBackend(InferenceBackend):
         log_transmat: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(log pi, contiguous log A^T)`` for the log-domain Viterbi kernel."""
-        if log_startprob is None:
-            log_startprob = safe_log(np.asarray(startprob, dtype=np.float64))
-        if log_transmat is None:
-            log_transmat = safe_log(np.asarray(transmat, dtype=np.float64))
-        return log_startprob, np.ascontiguousarray(log_transmat.T)
+        log_pi, log_A = _log_params(startprob, transmat, log_startprob, log_transmat)
+        return log_pi, np.ascontiguousarray(log_A.T)
 
     def viterbi_long(
         self,
@@ -881,116 +688,105 @@ class ScaledBatchedBackend(InferenceBackend):
             decode_bucket=decode_bucket,
         )
 
-    # -------------------------------------------------------------- #
-    # Public batched entry points
-    # -------------------------------------------------------------- #
-    def _run_buckets(self, startprob, transmat, log_obs_seqs, kernel):
-        startprob = np.asarray(startprob, dtype=np.float64)
-        transmat = np.asarray(transmat, dtype=np.float64)
-        log_obs_seqs = [np.asarray(lo, dtype=np.float64) for lo in log_obs_seqs]
-        _check_params(startprob, transmat)
-        if not log_obs_seqs:
-            return []
-        _check_tables(startprob.shape[0], log_obs_seqs)
-        lengths = [lo.shape[0] for lo in log_obs_seqs]
-        results: list = [None] * len(log_obs_seqs)
-        buckets = bucket_indices(lengths, self.bucket_size)
-
-        def run(idx: np.ndarray):
-            padded, bucket_lengths = self._pack(log_obs_seqs, idx)
-            return kernel(startprob, transmat, padded, bucket_lengths)
-
-        for idx, bucket_results in zip(buckets, self._map_buckets(run, buckets)):
-            for j, res in zip(idx, bucket_results):
-                results[j] = res
-        return results
-
-    def forward_backward(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> list[SequencePosteriors]:
-        return self._run_buckets(
-            startprob, transmat, log_obs_seqs, self._forward_backward_bucket
-        )
-
-    def viterbi(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> list[tuple[np.ndarray, float]]:
-        log_pi, log_AT = self._viterbi_log_params(
-            startprob, transmat, log_startprob, log_transmat
-        )
-
-        def kernel(pi, A, padded, lengths):
-            return self._viterbi_bucket(log_pi, log_AT, padded, lengths)
-
-        return self._run_buckets(startprob, transmat, log_obs_seqs, kernel)
-
-    def log_likelihood(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
-    ) -> np.ndarray:
-        def kernel(pi, A, padded, lengths):
-            _, _, _, _, lls, underflow = self._forward_bucket(pi, A, padded, lengths)
-            out = [float(ll) for ll in lls]
-            if underflow.any():
-                log_pi, log_A = safe_log(pi), safe_log(A)
-                for b in np.flatnonzero(underflow):
-                    log_alpha = log_forward(log_pi, log_A, padded[b, : lengths[b]])
-                    out[b] = float(logsumexp(log_alpha[-1]))
-            return out
-
-        return np.array(self._run_buckets(startprob, transmat, log_obs_seqs, kernel))
-
 
 class LogDomainBackend(InferenceBackend):
     """Reference backend: the original per-sequence log-space recursions.
 
-    Numerically identical to calling
-    :func:`repro.hmm.forward_backward.compute_posteriors` /
-    :func:`repro.hmm.viterbi.viterbi_decode` sequence by sequence; the only
-    difference is that ``log(pi)`` / ``log(A)`` are taken once per call
-    (the engine caches them across calls) instead of once per sequence.
+    Runs :func:`~repro.hmm.forward_backward.compute_posteriors_from_log` /
+    :func:`~repro.hmm.viterbi.viterbi_decode_from_log` over
+    ``corpus.tables(scores_ext)`` sequence by sequence — numerically
+    identical to calling them on each table, with ``log(pi)`` / ``log(A)``
+    taken from the engine's cache instead of once per sequence.  As the
+    exact oracle it does not route long sequences through the chunked
+    kernels.
     """
 
     name = "log"
-    wants_log_params = True
 
-    def _prepare(self, startprob, transmat, log_startprob, log_transmat):
-        if log_startprob is None:
-            log_startprob = safe_log(np.asarray(startprob, dtype=np.float64))
-        if log_transmat is None:
-            log_transmat = safe_log(np.asarray(transmat, dtype=np.float64))
-        return log_startprob, log_transmat
+    @staticmethod
+    def _prepare(startprob, transmat, corpus, scores_ext, log_startprob, log_transmat):
+        startprob, transmat, scores_ext = _check_corpus(
+            startprob, transmat, corpus, scores_ext
+        )
+        log_pi, log_A = _log_params(startprob, transmat, log_startprob, log_transmat)
+        return log_pi, log_A, corpus.tables(scores_ext)
 
-    def forward_backward(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
+    def forward_backward_sequences(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> list[SequencePosteriors]:
-        log_pi, log_A = self._prepare(startprob, transmat, log_startprob, log_transmat)
-        return [
-            compute_posteriors_from_log(
-                log_pi, log_A, np.asarray(log_obs, dtype=np.float64)
-            )
-            for log_obs in log_obs_seqs
-        ]
+        log_pi, log_A, tables = self._prepare(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        return [compute_posteriors_from_log(log_pi, log_A, table) for table in tables]
 
-    def viterbi(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
+    def forward_backward_corpus(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
+    ) -> CorpusPosteriors:
+        results = self.forward_backward_sequences(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        return CorpusPosteriors(
+            gamma_concat=np.concatenate([r.gamma for r in results], axis=0),
+            start_counts=sum(r.gamma[0] for r in results),
+            xi_sum=sum(r.xi_sum for r in results),
+            log_likelihoods=np.array([r.log_likelihood for r in results]),
+        )
+
+    def viterbi_corpus(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
-        log_pi, log_A = self._prepare(startprob, transmat, log_startprob, log_transmat)
-        return [
-            viterbi_decode_from_log(log_pi, log_A, np.asarray(log_obs, dtype=np.float64))
-            for log_obs in log_obs_seqs
-        ]
+        log_pi, log_A, tables = self._prepare(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        return [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
 
-    def log_likelihood(
-        self, startprob, transmat, log_obs_seqs, log_startprob=None, log_transmat=None
+    def log_likelihood_corpus(
+        self, startprob, transmat, corpus, scores_ext,
+        log_startprob=None, log_transmat=None,
     ) -> np.ndarray:
-        log_pi, log_A = self._prepare(startprob, transmat, log_startprob, log_transmat)
-        out = np.empty(len(log_obs_seqs))
-        for n, log_obs in enumerate(log_obs_seqs):
-            log_alpha = log_forward(
-                log_pi, log_A, np.asarray(log_obs, dtype=np.float64)
-            )
-            out[n] = float(logsumexp(log_alpha[-1]))
-        return out
+        log_pi, log_A, tables = self._prepare(
+            startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
+        )
+        return np.array(
+            [_reference_log_likelihood(log_pi, log_A, table) for table in tables]
+        )
+
+    def viterbi_long(
+        self,
+        startprob: np.ndarray,
+        transmat: np.ndarray,
+        source,
+        *,
+        window: int,
+        overlap: int,
+        group_size: int | None = None,
+        log_startprob: np.ndarray | None = None,
+        log_transmat: np.ndarray | None = None,
+    ) -> LongDecodeResult:
+        """Chunked Viterbi decoding each window with the reference recursion."""
+        startprob = np.asarray(startprob, dtype=np.float64)
+        transmat = np.asarray(transmat, dtype=np.float64)
+        _check_params(startprob, transmat)
+        log_pi, log_A = _log_params(startprob, transmat, log_startprob, log_transmat)
+
+        def decode_bucket(start_log, padded, lengths):
+            return [
+                viterbi_decode_from_log(start_log, log_A, row[:length])
+                for row, length in zip(padded, lengths)
+            ]
+
+        return chunked_viterbi(
+            log_pi,
+            log_A,
+            source,
+            window=window,
+            overlap=overlap,
+            group_size=64 if group_size is None else group_size,
+            decode_bucket=decode_bucket,
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -1438,9 +1234,7 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def build_backend(
-    name: str, bucket_size: int = 64, n_workers: int = 1
-) -> InferenceBackend:
+def build_backend(name: str, bucket_size: int = 64) -> InferenceBackend:
     """Instantiate a backend by name (``"scaled"`` or ``"log"``)."""
     try:
         cls = _BACKENDS[name]
@@ -1449,5 +1243,5 @@ def build_backend(
             f"unknown inference backend {name!r}; available: {available_backends()}"
         ) from None
     if cls is ScaledBatchedBackend:
-        return cls(bucket_size=bucket_size, n_workers=n_workers)
+        return cls(bucket_size=bucket_size)
     return cls()

@@ -52,13 +52,21 @@ class CategoricalEmission(EmissionModel):
         rows = rng.dirichlet(np.full(n_symbols, concentration), size=n_states)
         return cls(rows)
 
-    def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
+    def _tokens(self, sequence: np.ndarray) -> np.ndarray:
+        """The sequence as a 1-D integer array of in-vocabulary symbols."""
         obs = np.asarray(sequence)
         if obs.ndim != 1:
             raise ValidationError(f"Categorical emissions expect 1-D sequences, got {obs.shape}")
+        if obs.dtype.kind not in "iu":
+            raise ValidationError(
+                f"Categorical emissions expect integer tokens, got dtype {obs.dtype}"
+            )
         if obs.size and (obs.min() < 0 or obs.max() >= self.n_symbols):
             raise ValidationError("observation symbol out of range")
-        return safe_log(self.emission_probs[:, obs].T)
+        return obs
+
+    def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
+        return safe_log(self.emission_probs[:, self._tokens(sequence)].T)
 
     def log_likelihoods_batch(self, sequences: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Score the concatenated corpus in one call, then split per sequence."""
@@ -81,14 +89,7 @@ class CategoricalEmission(EmissionModel):
         table, so this matches :meth:`log_likelihoods` exactly while taking
         ``K * V`` logarithms instead of ``N * K``.
         """
-        obs = np.asarray(concat)
-        if obs.ndim != 1:
-            raise ValidationError(
-                f"Categorical emissions expect 1-D sequences, got {obs.shape}"
-            )
-        if obs.size and (obs.min() < 0 or obs.max() >= self.n_symbols):
-            raise ValidationError("observation symbol out of range")
-        return safe_log(self.emission_probs).T[obs]
+        return safe_log(self.emission_probs).T[self._tokens(concat)]
 
     def m_step(
         self, sequences: Sequence[np.ndarray], posteriors: Sequence[np.ndarray]

@@ -7,14 +7,21 @@ classifiers run forward-backward, Viterbi decoding and likelihood scoring.
 It adds two things on top of the raw backends in
 :mod:`repro.hmm.backends`:
 
-* **Batching** — every public method accepts a whole collection of
-  per-sequence emission log-likelihood tables, so the backend can group
-  sequences into padded length-buckets and run each timestep as one
-  ``(B, K) @ (K, K)`` matmul over the bucket.
-* **Parameter caching** — derived parameters (``log(pi)``, ``log(A)`` and
-  float64 copies of ``pi`` / ``A``) are computed once and reused across
-  calls as long as the model parameters are unchanged, so repeated decodes
-  between EM iterations do not re-derive them per sequence.
+* **One corpus path** — every batched method runs on a
+  :class:`~repro.hmm.corpus.CompiledCorpus`.  The ``*_corpus`` methods take
+  one directly; the ``*_batch`` methods accept a collection of
+  per-sequence emission log-likelihood tables and compile them first
+  (:meth:`InferenceEngine.compile`), so the backend groups sequences into
+  padded length-buckets (one ``(B, K) @ (K, K)`` matmul per timestep per
+  bucket) and long sequences take the chunked kernels of
+  :mod:`repro.hmm.longseq` the same way in both.
+* **Parameter caching and validation** — derived parameters (``log(pi)``,
+  ``log(A)`` and float64 copies of ``pi`` / ``A``) are computed once and
+  reused across calls as long as the model parameters are unchanged, so
+  repeated decodes between EM iterations do not re-derive them per
+  sequence.  Each new parameter set is validated once on entry: a
+  mis-shaped, negative or non-finite ``pi`` / ``A`` raises instead of
+  decoding garbage.
 
 Backend selection defaults to the process-wide
 :class:`repro.core.config.InferenceConfig` (see
@@ -30,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.hmm.backends import (
     BatchedStreamingSession,
     InferenceBackend,
@@ -47,12 +55,15 @@ from repro.utils.maths import safe_log
 
 
 class _CachedParams:
-    """Float64 parameter views plus lazily derived logs, validity-checked.
+    """Validated float64 parameter copies plus lazily derived logs.
 
-    The cache is validated with :func:`numpy.array_equal` against stored
+    The cache is checked with :func:`numpy.array_equal` against the stored
     copies — an ``O(K^2)`` comparison that is negligible next to any
     inference call — so in-place mutation of the model parameters is
-    detected, not just rebinding.
+    detected, not just rebinding.  Every new parameter set is validated
+    once, here, so each engine entry point (batched, corpus, long and
+    streaming) rejects a mis-shaped, negative or non-finite ``pi`` / ``A``;
+    a NaN never compares equal, so NaN parameters raise on every call.
     """
 
     __slots__ = ("startprob", "transmat", "_log_pi", "_log_A")
@@ -60,6 +71,16 @@ class _CachedParams:
     def __init__(self, startprob: np.ndarray, transmat: np.ndarray) -> None:
         self.startprob = np.array(startprob, dtype=np.float64)
         self.transmat = np.array(transmat, dtype=np.float64)
+        n_states = self.startprob.shape[0] if self.startprob.ndim == 1 else None
+        if n_states is None or self.transmat.shape != (n_states, n_states):
+            raise DimensionMismatchError(
+                f"start distribution of shape {self.startprob.shape} and "
+                f"transition matrix of shape {self.transmat.shape} do not "
+                "describe one state space"
+            )
+        for name, values in (("startprob", self.startprob), ("transmat", self.transmat)):
+            if not np.all(np.isfinite(values)) or np.any(values < 0):
+                raise ValidationError(f"{name} must be finite and non-negative")
         self._log_pi: np.ndarray | None = None
         self._log_A: np.ndarray | None = None
 
@@ -100,17 +121,16 @@ class InferenceEngine:
         self,
         backend: str | InferenceBackend | None = None,
         bucket_size: int | None = None,
-        n_workers: int | None = None,
     ) -> None:
         if isinstance(backend, InferenceBackend):
-            if bucket_size is not None or n_workers is not None:
+            if bucket_size is not None:
                 raise ValueError(
-                    "bucket_size/n_workers cannot be combined with a ready "
-                    "backend instance; configure the backend directly"
+                    "bucket_size cannot be combined with a ready backend "
+                    "instance; configure the backend directly"
                 )
             self.backend = backend
         else:
-            if backend is None or bucket_size is None or n_workers is None:
+            if backend is None or bucket_size is None:
                 # Imported lazily: repro.core imports the hmm layer, so a
                 # top-level import here would be circular.
                 from repro.core.config import get_inference_config
@@ -118,10 +138,7 @@ class InferenceEngine:
                 cfg = get_inference_config()
                 backend = backend if backend is not None else cfg.backend
                 bucket_size = bucket_size if bucket_size is not None else cfg.bucket_size
-                n_workers = n_workers if n_workers is not None else cfg.n_workers
-            self.backend = build_backend(
-                backend, bucket_size=bucket_size, n_workers=n_workers
-            )
+            self.backend = build_backend(backend, bucket_size=bucket_size)
         self._params: _CachedParams | None = None
 
     @property
@@ -138,31 +155,14 @@ class InferenceEngine:
         return params
 
     # -------------------------------------------------------------- #
-    # Batched primitives
+    # Batched primitives (compile-then-corpus)
     # -------------------------------------------------------------- #
-    def _dispatch(self, method_name, startprob, transmat, log_obs_seqs):
-        p = self._cached(startprob, transmat)
-        wants_logs = self.backend.wants_log_params
-        return getattr(self.backend, method_name)(
-            p.startprob,
-            p.transmat,
-            log_obs_seqs,
-            log_startprob=p.log_startprob if wants_logs else None,
-            log_transmat=p.log_transmat if wants_logs else None,
+    def _run_tables(self, method_name, startprob, transmat, log_obs_seqs):
+        """Compile per-sequence tables into a corpus and run ``method_name`` on it."""
+        corpus = self.compile(log_obs_seqs)
+        return self._dispatch_corpus(
+            method_name, startprob, transmat, corpus, corpus.extend_scores(corpus.concat)
         )
-
-    @staticmethod
-    def _long_indices(log_obs_seqs: Sequence[np.ndarray]) -> list[int]:
-        """Positions of sequences exceeding the configured long threshold.
-
-        Resolved from the process-wide config at call time, so
-        :func:`~repro.core.config.inference_backend`-style overrides of
-        ``long_threshold`` take effect without rebuilding the engine.
-        """
-        from repro.core.config import get_inference_config
-
-        threshold = get_inference_config().long_threshold
-        return [n for n, lo in enumerate(log_obs_seqs) if len(lo) > threshold]
 
     def posteriors_batch(
         self,
@@ -172,28 +172,15 @@ class InferenceEngine:
     ) -> list[SequencePosteriors]:
         """Forward-backward posteriors for every emission table, in order.
 
-        Sequences longer than ``InferenceConfig.long_threshold`` are routed
-        through :meth:`posteriors_long` (sqrt-checkpointed, bounded working
-        memory); the rest go through the backend's padded buckets.
+        Runs on the compiled tables, so sequences longer than
+        ``InferenceConfig.long_threshold`` take the sqrt-checkpointed
+        long-sequence recursion (bounded working memory).
         """
-        long_idx = self._long_indices(log_obs_seqs)
-        if not long_idx:
-            return self._dispatch("forward_backward", startprob, transmat, log_obs_seqs)
-        long_set = set(long_idx)
-        short_pos = [n for n in range(len(log_obs_seqs)) if n not in long_set]
-        results: list[SequencePosteriors] = [None] * len(log_obs_seqs)
-        if short_pos:
-            short = self._dispatch(
-                "forward_backward",
-                startprob,
-                transmat,
-                [log_obs_seqs[n] for n in short_pos],
-            )
-            for n, res in zip(short_pos, short):
-                results[n] = res
-        for n in long_idx:
-            results[n] = self.posteriors_long(startprob, transmat, log_obs_seqs[n])
-        return results
+        if len(log_obs_seqs) == 0:
+            return []
+        return self._run_tables(
+            "forward_backward_sequences", startprob, transmat, log_obs_seqs
+        )
 
     def viterbi_batch(
         self,
@@ -203,26 +190,13 @@ class InferenceEngine:
     ) -> list[tuple[np.ndarray, float]]:
         """Most likely state path and joint log-probability per table.
 
-        Sequences longer than ``InferenceConfig.long_threshold`` are routed
-        through the chunked :meth:`viterbi_long` decode instead of a padded
-        bucket row.
+        Sequences longer than ``InferenceConfig.long_threshold`` decode
+        through the chunked long-sequence kernel instead of a padded bucket
+        row.
         """
-        long_idx = self._long_indices(log_obs_seqs)
-        if not long_idx:
-            return self._dispatch("viterbi", startprob, transmat, log_obs_seqs)
-        long_set = set(long_idx)
-        short_pos = [n for n in range(len(log_obs_seqs)) if n not in long_set]
-        results: list[tuple[np.ndarray, float]] = [None] * len(log_obs_seqs)
-        if short_pos:
-            short = self._dispatch(
-                "viterbi", startprob, transmat, [log_obs_seqs[n] for n in short_pos]
-            )
-            for n, res in zip(short_pos, short):
-                results[n] = res
-        for n in long_idx:
-            long_res = self.viterbi_long(startprob, transmat, log_obs_seqs[n])
-            results[n] = (long_res.path, long_res.log_joint)
-        return results
+        if len(log_obs_seqs) == 0:
+            return []
+        return self._run_tables("viterbi_corpus", startprob, transmat, log_obs_seqs)
 
     def log_likelihood_batch(
         self,
@@ -233,24 +207,13 @@ class InferenceEngine:
         """Log marginal likelihood of every emission table (1-D array).
 
         Sequences longer than ``InferenceConfig.long_threshold`` are scored
-        by the forward-only streamed sweep (:meth:`log_likelihood_long`).
+        by the forward-only streamed sweep.
         """
-        long_idx = self._long_indices(log_obs_seqs)
-        if not long_idx:
-            return self._dispatch("log_likelihood", startprob, transmat, log_obs_seqs)
-        long_set = set(long_idx)
-        short_pos = [n for n in range(len(log_obs_seqs)) if n not in long_set]
-        out = np.empty(len(log_obs_seqs))
-        if short_pos:
-            out[short_pos] = self._dispatch(
-                "log_likelihood",
-                startprob,
-                transmat,
-                [log_obs_seqs[n] for n in short_pos],
-            )
-        for n in long_idx:
-            out[n] = self.log_likelihood_long(startprob, transmat, log_obs_seqs[n])
-        return out
+        if len(log_obs_seqs) == 0:
+            return np.empty(0)
+        return self._run_tables(
+            "log_likelihood_corpus", startprob, transmat, log_obs_seqs
+        )
 
     # -------------------------------------------------------------- #
     # Long-sequence (chunked / checkpointed) entry points
@@ -332,11 +295,10 @@ class InferenceEngine:
     def compile(self, sequences) -> CompiledCorpus:
         """Compile a dataset once for repeated inference through this engine.
 
-        The corpus is bucketed with the backend's ``bucket_size`` so its
-        precomputed padded index tensors line up exactly with the buckets
-        the backend would otherwise rebuild on every call.  The result is
-        emission- and parameter-agnostic: one compile serves every EM
-        iteration and every decode over the same dataset.
+        The corpus is bucketed with the backend's ``bucket_size``.  The
+        result is emission- and parameter-agnostic: one compile serves every
+        EM iteration and every decode over the same dataset.  The
+        ``*_batch`` methods compile their emission tables through here too.
 
         Sequences longer than ``InferenceConfig.long_threshold`` compile
         into window-decode plans (``corpus.long_windows``) instead of
@@ -356,14 +318,13 @@ class InferenceEngine:
 
     def _dispatch_corpus(self, method_name, startprob, transmat, corpus, scores_ext):
         p = self._cached(startprob, transmat)
-        wants_logs = self.backend.wants_log_params
         return getattr(self.backend, method_name)(
             p.startprob,
             p.transmat,
             corpus,
             scores_ext,
-            log_startprob=p.log_startprob if wants_logs else None,
-            log_transmat=p.log_transmat if wants_logs else None,
+            log_startprob=p.log_startprob,
+            log_transmat=p.log_transmat,
         )
 
     def posteriors_corpus(
@@ -489,7 +450,6 @@ class InferenceEngine:
 def build_engine(
     backend: str | InferenceBackend | None = None,
     bucket_size: int | None = None,
-    n_workers: int | None = None,
 ) -> InferenceEngine:
     """Construct an :class:`InferenceEngine` (thin convenience wrapper)."""
-    return InferenceEngine(backend=backend, bucket_size=bucket_size, n_workers=n_workers)
+    return InferenceEngine(backend=backend, bucket_size=bucket_size)

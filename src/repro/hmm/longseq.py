@@ -62,7 +62,9 @@ __all__ = [
     "streaming_log_likelihood",
 ]
 
-#: Smallest admissible scaling constant (mirrors the backends' guard).
+#: Smallest admissible scaling constant; prevents division by zero when an
+#: entire forward message underflows (mirrors ``LOG_EPS`` of the reference).
+#: Shared with the batched kernels of :mod:`repro.hmm.backends`.
 _TINY = 1e-300
 
 
@@ -400,10 +402,14 @@ def chunked_viterbi(  # repro: hot-path
 # Checkpointed forward-backward
 # ------------------------------------------------------------------ #
 def _obs_weights(log_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max-shifted observation weights ``exp(log_b - m)`` for one block."""
-    shift = np.max(log_b, axis=1)
+    """Max-shifted observation weights ``exp(log_b - m)`` and the shifts ``m``.
+
+    The shift is the maximum over the last (state) axis, so this serves a
+    ``(T, K)`` block and a padded ``(B, L, K)`` bucket alike.
+    """
+    shift = np.max(log_b, axis=-1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.exp(log_b - shift[:, None]), shift
+    return np.exp(log_b - shift[..., None]), shift
 
 
 def checkpointed_posteriors(  # repro: hot-path
@@ -420,7 +426,7 @@ def checkpointed_posteriors(  # repro: hot-path
     the working set is ``O(sqrt(T) * K)`` — only the returned gamma is
     O(T * K), and that is the result itself.  The recursions are the same
     Rabiner-scaled operations as the batched backend, so the posteriors
-    match :meth:`~repro.hmm.backends.ScaledBatchedBackend.forward_backward`
+    match :meth:`~repro.hmm.backends.ScaledBatchedBackend.forward_backward_sequences`
     to floating-point reassociation (tested at 1e-8).
     """
     source = as_source(source)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import InferenceConfig, inference_backend, set_inference_config
+from repro.core.config import inference_backend
 from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.hmm import (
     HMM,
@@ -239,32 +239,6 @@ class TestCorpusEquivalence:
         )
         assert got_ll[0] == want_ll[0]
         np.testing.assert_allclose(got_ll, want_ll, atol=ATOL)
-
-    def test_n_workers_does_not_change_results(self):
-        startprob, transmat, emissions, sequences = random_problem(17)
-        serial = InferenceEngine(backend="scaled", bucket_size=2, n_workers=1)
-        threaded = InferenceEngine(backend="scaled", bucket_size=2, n_workers=4)
-        corpus = serial.compile(sequences)
-        scores_ext = corpus.score(emissions)
-        got = threaded.posteriors_corpus(startprob, transmat, corpus, scores_ext)
-        want = serial.posteriors_corpus(startprob, transmat, corpus, scores_ext)
-        np.testing.assert_array_equal(got.gamma_concat, want.gamma_concat)
-        np.testing.assert_array_equal(got.xi_sum, want.xi_sum)
-        got_v = threaded.viterbi_corpus(startprob, transmat, corpus, scores_ext)
-        want_v = serial.viterbi_corpus(startprob, transmat, corpus, scores_ext)
-        for (gp, gl), (wp, wl) in zip(got_v, want_v):
-            np.testing.assert_array_equal(gp, wp)
-            assert gl == wl
-
-    def test_n_workers_config_round_trip(self):
-        previous = set_inference_config(InferenceConfig(n_workers=3))
-        try:
-            engine = InferenceEngine()
-            assert engine.backend.n_workers == 3
-        finally:
-            set_inference_config(previous)
-        with pytest.raises(ValidationError):
-            InferenceConfig(n_workers=0)
 
 
 class TestVectorizedMStep:

@@ -26,6 +26,7 @@ from repro.hmm import (
     HMM,
     ArraySource,
     CategoricalEmission,
+    CompiledCorpus,
     EmissionSource,
     GaussianEmission,
     LogDomainBackend,
@@ -52,6 +53,12 @@ def long_routing_config():
     )
     yield
     set_inference_config(base)
+
+
+def full_viterbi(backend, pi, transmat, table):
+    """Unchunked Viterbi of one table: a one-sequence corpus without long routing."""
+    corpus = CompiledCorpus([table])
+    return backend.viterbi_corpus(pi, transmat, corpus, corpus.extend_scores(table))[0]
 
 
 def random_model(rng, n_states, self_weight=0.0):
@@ -127,7 +134,7 @@ class TestChunkedViterbi:
         trials.append((pi, transmat, rng.normal(0.0, 2.0, size=(50_000, 6))))
 
         for pi, transmat, table in trials:
-            full_path, full_lj = backend.viterbi(pi, transmat, [table])[0]
+            full_path, full_lj = full_viterbi(backend, pi, transmat, table)
             res = backend.viterbi_long(
                 pi, transmat, table, window=256, overlap=64, group_size=8
             )
@@ -153,7 +160,7 @@ class TestChunkedViterbi:
         pi, transmat = random_model(rng, 5)
         table = rng.normal(size=(120, 5))
         backend = ScaledBatchedBackend()
-        full_path, full_lj = backend.viterbi(pi, transmat, [table])[0]
+        full_path, full_lj = full_viterbi(backend, pi, transmat, table)
         res = backend.viterbi_long(pi, transmat, table, window=256, overlap=64)
         assert res.n_windows == 1
         assert np.array_equal(res.path, full_path)
@@ -195,7 +202,7 @@ class TestChunkedViterbi:
         pi, transmat = random_model(rng, 4, self_weight=0.8)
         table = rng.normal(0.0, 2.0, size=(3000, 4))
         backend = ScaledBatchedBackend()
-        _, full_lj = backend.viterbi(pi, transmat, [table])[0]
+        _, full_lj = full_viterbi(backend, pi, transmat, table)
         res = backend.viterbi_long(pi, transmat, table, window=256, overlap=64)
         assert res.n_windows > 1
         if res.exact_stitch:
@@ -249,7 +256,7 @@ class TestAdversarialStitching:
         length = 4000
         table = rng.normal(0.0, 0.05, size=(length, n_states))
         backend = ScaledBatchedBackend()
-        full_path, _ = backend.viterbi(pi, transmat, [table])[0]
+        full_path, _ = full_viterbi(backend, pi, transmat, table)
 
         narrow = backend.viterbi_long(pi, transmat, table, window=64, overlap=2)
         wide = backend.viterbi_long(pi, transmat, table, window=512, overlap=128)

@@ -148,6 +148,13 @@ class TestErrorMapping:
         assert status == 400
         assert "sequence" in body["error"]
 
+    def test_float_tokens_are_400(self, server):
+        status, body = _error_status(
+            lambda: _post(server, "/v1/models/alpha/tag", {"sequence": [0.0, 1.5]})
+        )
+        assert status == 400
+        assert "integer tokens" in body["error"]
+
     def test_invalid_json_is_400(self, server):
         request = urllib.request.Request(
             _url(server, "/v1/models/alpha/tag"),

@@ -62,6 +62,14 @@ class TestRouting:
             not np.array_equal(a, b) for a, b in zip(alpha_paths, beta_paths)
         )
 
+    def test_float_tokens_resolve_to_validation_error(self, registry, sequences):
+        with Router(registry) as router:
+            bad = router.submit_tag("alpha", np.array([0.0, 1.5]))
+            good = router.submit_tag("alpha", sequences[0])
+            with pytest.raises(ValidationError, match="integer tokens"):
+                bad.result(timeout=10)
+            assert good.result(timeout=10).shape == sequences[0].shape
+
     def test_interleaved_burst_coalesces_per_model(self, registry, models, sequences):
         config = ServingConfig(max_batch_size=64, max_wait_ms=50.0)
         with Router(registry, config=config) as router:
