@@ -15,8 +15,9 @@ provided:
   :meth:`~repro.hmm.corpus.CompiledCorpus.gather`, and the pairwise
   posteriors ``xi_sum`` are accumulated with matmuls instead of a Python
   loop over ``T``.  Viterbi decoding runs batched in the *log* domain (its
-  recursion is max-only, so no scaling is needed) through a fused kernel
-  that is bit-identical to the reference — see :meth:`_viterbi_bucket`.
+  recursion is max-only, so no scaling is needed) as one length-sorted
+  sweep over the corpus, bit-identical to the reference — see
+  :func:`_viterbi_block`.
   Sequences compiled into long-sequence window plans
   (``corpus.long_windows``) run through the chunked / checkpointed kernels
   of :mod:`repro.hmm.longseq` instead of a padded bucket row.
@@ -70,7 +71,7 @@ from repro.hmm.longseq import (
     chunked_viterbi,
     streaming_log_likelihood,
 )
-from repro.hmm.viterbi import viterbi_decode_from_log
+from repro.hmm.viterbi import check_viterbi_scores, viterbi_decode_from_log
 from repro.utils.maths import logsumexp, safe_log
 
 __all__ = [  # noqa: F822 - bucket_indices is re-exported for backward compat
@@ -234,6 +235,179 @@ def _underflow_repairs(
         (int(b), reference(log_pi, log_A, log_b[b, : lengths[b]]))
         for b in np.flatnonzero(underflow)
     ]
+
+
+#: Active rows from which a Viterbi step finds its backpointers by
+#: equality with the step's max instead of ``argmax``.  ``argmax`` over the
+#: source-state axis copies the step to a transposed buffer and makes one
+#: C call per (target state, row) pair; equality, ranks and a max-reduce
+#: are four contiguous passes with a larger fixed cost.  Measured at
+#: K = 15 (one core, numpy 2.4): 1.4 µs against 5.8 µs at one row, 7.1
+#: against 9.1 at 12 rows, even between 16 and 20 rows, 18 against 11.6
+#: at 32.  A block with fewer rows never reaches the equality step, and
+#: backtracks row by row through scalar lookups: with so few rows per
+#: step that beats a numpy call per step.
+_EQUALITY_MIN_ROWS = 16
+
+#: Target size of a sweep block's ``(K, K, n)`` float64 step buffer, which
+#: sets the block's row count: ~580 rows at K = 15.
+_SWEEP_STEP_BYTES = 1 << 20
+
+#: Steps of emission rows a sweep block gathers per ``np.take``.
+_GATHER_STEPS = 4
+
+#: Most tokens in one sweep block.  A block's index, backpointer and path
+#: storage grow with its tokens, so this bounds them for long rows.
+_SWEEP_BLOCK_TOKENS = 1 << 18
+
+
+def _sweep_blocks(lengths: np.ndarray, n_states: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` row ranges of a sweep over length-sorted rows.
+
+    A block holds at most ``_SWEEP_STEP_BYTES // (8 K^2)`` rows and, past
+    its first row, at most ``_SWEEP_BLOCK_TOKENS`` tokens.
+    """
+    max_rows = max(1, _SWEEP_STEP_BYTES // (8 * n_states * n_states))
+    ends = np.cumsum(lengths)
+    blocks = []
+    lo, done = 0, 0
+    while lo < lengths.shape[0]:
+        hi = int(np.searchsorted(ends, done + _SWEEP_BLOCK_TOKENS, side="right"))
+        hi = min(max(hi, lo + 1), lo + max_rows)
+        blocks.append((lo, hi))
+        lo, done = hi, int(ends[hi - 1])
+    return blocks
+
+
+def _viterbi_block(  # repro: hot-path
+    log_startprob: np.ndarray,
+    log_transmat: np.ndarray,
+    table: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    paths: np.ndarray,
+    bp_dtype: np.dtype,
+) -> np.ndarray:
+    """Batch-last Viterbi over length-sorted rows of a score table.
+
+    Row ``r`` is ``table[starts[r] : starts[r] + lengths[r]]`` and
+    ``lengths`` ascends, so the rows still running at step ``t`` are a
+    suffix ``first[t]:``.  Its path goes to the same slice of ``paths``;
+    the joint log-probabilities are returned in row order.
+
+    The recursion runs in the log domain (it is max-only, so nothing needs
+    scaling) with the rows on the last, contiguous axis: the messages are
+    ``(K, n)``.  Each step is one broadcast add into a reused
+    ``(K_i, K_j, n)`` buffer, ``scores[i, j, r] = delta[i, r] + log A[i,
+    j]``, and one ``np.maximum.reduce`` over ``i`` for the new message.
+    The backpointer is the *first* ``i`` reaching that max: the equality
+    mask times the ranks ``K - 1 - i`` (which fit the backpointer dtype),
+    max-reduced over ``i``, gives ``K - 1 - i``.  Every float operation
+    is the one :func:`viterbi_decode_from_log` performs, and first-index
+    ties resolve as its ``argmax`` does, so paths and joints are
+    bit-identical to the reference.  Below ``_EQUALITY_MIN_ROWS`` active
+    rows one ``argmax`` is cheaper and takes over, and a block with fewer
+    rows than that backtracks row by row through scalar lookups.
+
+    Tokens are handled in step-major order: ``idx[ptr[t] + k]`` is the
+    table row of row ``first[t] + k`` at step ``t``.  Emission rows are
+    gathered through that index ``_GATHER_STEPS`` steps at a time, and
+    backpointers and the decoded path are stored in the same packed order,
+    so no padded tensor exists.
+    """
+    n_rows = lengths.shape[0]
+    n_states = log_startprob.shape[0]
+    max_len = int(lengths[-1])
+    first_arr = np.searchsorted(lengths, np.arange(max_len), side="right")
+    counts = n_rows - first_arr
+    ptr_arr = np.zeros(max_len + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr_arr[1:])
+    n_packed = int(ptr_arr[-1])
+    # Packed position minus the row's offset in its step is the row.
+    rows = np.repeat(ptr_arr[:-1] - first_arr, counts)
+    np.subtract(np.arange(n_packed), rows, out=rows)
+    idx = starts[rows]
+    del rows
+    idx += np.repeat(np.arange(max_len), counts)
+    first, ptr = first_arr.tolist(), ptr_arr.tolist()
+
+    backpointers = np.empty((n_states, n_packed), dtype=bp_dtype)
+    trans = log_transmat[:, :, None]
+    ranks = np.arange(n_states - 1, -1, -1).astype(bp_dtype)[:, None, None]
+    top = bp_dtype.type(n_states - 1)
+    cube = n_states * n_states * n_rows
+    step_buf = np.empty(cube)
+    equal_buf = np.empty(cube, dtype=bool)
+    rank_buf = np.empty(cube, dtype=bp_dtype)
+    message_bufs = (np.empty(n_states * n_rows), np.empty(n_states * n_rows))
+    final = np.empty((n_states, n_rows))
+    chunk = min(n_packed, _GATHER_STEPS * n_rows)
+    obs_buf = np.empty((chunk, n_states))
+    np.take(table, idx[:chunk], axis=0, out=obs_buf)
+    gathered = 0  # packed position of obs_buf[0]
+
+    delta = message_bufs[0].reshape(n_states, n_rows)
+    np.add(log_startprob[:, None], obs_buf[:n_rows].T, out=delta)
+    n_active = 0
+    for t in range(1, max_len):  # repro: loop-ok[inherent time recursion]
+        p, q = ptr[t], ptr[t + 1]
+        if q - p != n_active:
+            # Rows that ended at t - 1 keep their last message; the step
+            # buffers shrink to the rows still running.
+            lo, n_active = first[t], q - p
+            ended = delta.shape[1] - n_active
+            final[:, lo - ended : lo] = delta[:, :ended]
+            delta = delta[:, ended:]
+            shape = (n_states, n_states, n_active)
+            cells = n_states * n_states * n_active
+            scores = step_buf[:cells].reshape(shape)
+            hits = equal_buf[:cells].reshape(shape)
+            ranked = rank_buf[:cells].reshape(shape)
+            messages = [buf[: n_states * n_active].reshape(shape[1:]) for buf in message_bufs]
+        np.add(delta[:, None, :], trans, out=scores)
+        new = messages[t & 1]
+        np.maximum.reduce(scores, axis=0, out=new)
+        back = backpointers[:, p:q]
+        if n_active >= _EQUALITY_MIN_ROWS:
+            np.equal(scores, new, out=hits)
+            np.multiply(hits, ranks, out=ranked)
+            np.maximum.reduce(ranked, axis=0, out=back)
+            np.subtract(top, back, out=back)
+        else:
+            back[...] = scores.argmax(axis=0)
+        if q > gathered + chunk:
+            gathered = p
+            stop = min(n_packed, p + chunk)
+            np.take(table, idx[p:stop], axis=0, out=obs_buf[: stop - p])
+        np.add(new, obs_buf[p - gathered : q - gathered].T, out=new)
+        delta = new
+    final[:, n_rows - delta.shape[1] :] = delta
+
+    state = final.argmax(axis=0)
+    log_joints = final[state, np.arange(n_rows)]
+    if n_rows < _EQUALITY_MIN_ROWS:
+        # Few rows: walking each row back through scalar lookups costs
+        # less than the numpy calls of a batched step.
+        for r, length in enumerate(lengths.tolist()):  # repro: loop-ok[fewer than _EQUALITY_MIN_ROWS rows]
+            s = int(state[r])
+            row = [s] * length
+            for t in range(length - 1, 0, -1):  # repro: loop-ok[inherent backtrack recursion]
+                s = backpointers.item(s, ptr[t] + r - first[t])
+                row[t - 1] = s
+            paths[starts[r] : starts[r] + length] = row
+        return log_joints
+    packed = np.empty(n_packed, dtype=bp_dtype)
+    packed[ptr[-2] :] = state[first[-1] :]
+    for t in range(max_len - 1, 0, -1):  # repro: loop-ok[inherent backtrack recursion]
+        # Rows running at t step back through their backpointers; rows
+        # that ended at t - 1 start from their final state.
+        lo, p, q, before = first[t], ptr[t], ptr[t + 1], ptr[t - 1]
+        ended = lo - first[t - 1]
+        packed[before + ended : p] = backpointers[packed[p:q], np.arange(p, q)]
+        if ended:
+            packed[before : before + ended] = state[lo - ended : lo]
+    paths[idx] = packed
+    return log_joints
 
 
 class ScaledBatchedBackend(InferenceBackend):
@@ -486,22 +660,36 @@ class ScaledBatchedBackend(InferenceBackend):
         self, startprob, transmat, corpus, scores_ext,
         log_startprob=None, log_transmat=None,
     ) -> list[tuple[np.ndarray, float]]:
+        """Decode every corpus sequence in one length-sorted sweep.
+
+        The buckets' rows, concatenated, are already sorted by length, so
+        they feed :meth:`_viterbi_sweep` as they are, each row starting at
+        its first token (``positions[:, 0]``) of the score table.  Paths
+        are written into one flat ``(n_tokens,)`` array and returned as
+        per-sequence copies, so a kept path does not pin the whole array.
+        """
         startprob, transmat, scores_ext = _check_corpus(
             startprob, transmat, corpus, scores_ext
         )
-        log_pi, log_AT = self._viterbi_log_params(
+        check_viterbi_scores(scores_ext)
+        log_pi, log_A = self._viterbi_log_params(
             startprob, transmat, log_startprob, log_transmat
         )
-        results: list[tuple[np.ndarray, float]] = [None] * corpus.n_sequences
-        for bucket in corpus.buckets:
-            bucket_results = self._viterbi_bucket(
-                log_pi, log_AT, corpus.gather(scores_ext, bucket), bucket.lengths
+        paths = np.empty(corpus.n_tokens, dtype=np.int64)
+        log_joints = np.empty(corpus.n_sequences)
+        if corpus.buckets:
+            rows = np.concatenate([b.idx for b in corpus.buckets])
+            log_joints[rows] = self._viterbi_sweep(
+                log_pi,
+                log_A,
+                scores_ext,
+                np.concatenate([b.positions[:, 0] for b in corpus.buckets]),
+                np.concatenate([b.lengths for b in corpus.buckets]),
+                paths,
             )
-            for j, res in zip(bucket.idx, bucket_results):
-                results[j] = res
         for lw in corpus.long_windows:
             # Long sequences decode through the chunked stitcher instead of
-            # one giant padded bucket row.
+            # one row as long as the sequence.
             long_res = self.viterbi_long(
                 startprob,
                 transmat,
@@ -511,8 +699,13 @@ class ScaledBatchedBackend(InferenceBackend):
                 log_startprob=log_startprob,
                 log_transmat=log_transmat,
             )
-            results[lw.seq_index] = (long_res.path, long_res.log_joint)
-        return results
+            paths[lw.offset : lw.offset + lw.length] = long_res.path
+            log_joints[lw.seq_index] = long_res.log_joint
+        bounds = corpus.offsets.tolist()
+        return [
+            (paths[a:b].copy(), log_joint)
+            for a, b, log_joint in zip(bounds[:-1], bounds[1:], log_joints.tolist())
+        ]
 
     def log_likelihood_corpus(
         self, startprob, transmat, corpus, scores_ext,
@@ -540,98 +733,72 @@ class ScaledBatchedBackend(InferenceBackend):
             )
         return lls
 
-    def _viterbi_bucket(  # repro: hot-path
+    def _viterbi_sweep(
         self,
         log_startprob: np.ndarray,
-        log_transmat_T: np.ndarray,
+        log_transmat: np.ndarray,
+        table: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        paths: np.ndarray,
+    ) -> np.ndarray:
+        """Viterbi-decode length-sorted rows of a score table, block by block.
+
+        Row ``r`` is ``table[starts[r] : starts[r] + lengths[r]]``, and
+        ``lengths`` ascends.  Each row's path is written into
+        ``paths[starts[r] : starts[r] + lengths[r]]``; the joint
+        log-probabilities are returned in row order.  The rows run through
+        :func:`_viterbi_block` in consecutive blocks (see
+        :func:`_sweep_blocks`).
+        """
+        n_states = log_startprob.shape[0]
+        bp_dtype = viterbi_backpointer_dtype(n_states)
+        self.last_backpointer_dtype = bp_dtype
+        log_joints = np.empty(lengths.shape[0])
+        for lo, hi in _sweep_blocks(lengths, n_states):  # repro: loop-ok[a few bounded-memory row blocks]
+            log_joints[lo:hi] = _viterbi_block(
+                log_startprob,
+                log_transmat,
+                table,
+                starts[lo:hi],
+                lengths[lo:hi],
+                paths,
+                bp_dtype,
+            )
+        return log_joints
+
+    def _viterbi_bucket(
+        self,
+        log_startprob: np.ndarray,
+        log_transmat: np.ndarray,
         log_b: np.ndarray,
         lengths: np.ndarray,
     ) -> list[tuple[np.ndarray, float]]:
-        """Fused batched Viterbi over one padded bucket.
+        """Decode one padded ``(B, L, K)`` bucket; one ``(path, log_joint)`` per row.
 
-        Unlike forward-backward, the Viterbi recursion contains no
-        ``logsumexp`` — only max — so it vectorizes in the log domain at
-        full speed.  Running it there removes everything the old
-        probability-domain kernel spent most of its time on: the ``exp`` of
-        the whole observation tensor, the per-timestep peak normalization
-        (max / clamp / divide / log), and the ``_TINY`` underflow fallback
-        (log-space cannot underflow).  As a bonus every elementary float
-        operation now matches :func:`viterbi_decode_from_log` exactly, so
-        decoded paths and joint log-probabilities are *bit-identical* to
-        the log-domain reference, tie-breaking included.
-
-        The fused inner step is three vectorized ops against preallocated,
-        reused buffers: one broadcast add of the ``(B, K)`` message against
-        the pre-transposed *contiguous* transition table
-        (``scores[b, j, i] = delta[b, i] + log A[i, j]``), one argmax over
-        the contiguous last axis, and one flat gather of the winning scores
-        through the argmax (instead of a second full max reduction), folded
-        into the observation add.  Backpointers live in the smallest
-        integer dtype that can index the state space (uint8/uint16 for the
-        paper's workloads, not int64), and because buckets are sorted by
-        length, rows whose sequence has ended drop off the *front* of every
-        buffer — each timestep only touches the still-active suffix, with
-        no masked ``np.where`` updates at all.
+        The bucket is read as a flat ``(B * L, K)`` table whose row ``b``
+        starts at ``b * L``, and runs through :meth:`_viterbi_sweep` in
+        length order (the window groups of :meth:`viterbi_long` arrive
+        sorted; any other order is sorted here).
         """
-        if lengths.size > 1 and np.any(lengths[:-1] > lengths[1:]):
-            # Callers (compiled-corpus buckets, window groups) always hand over
-            # length-sorted buckets; re-sort defensively if not.
-            order = np.argsort(lengths, kind="stable")
-            sorted_results = self._viterbi_bucket(
-                log_startprob, log_transmat_T, log_b[order], lengths[order]
-            )
-            results: list[tuple[np.ndarray, float]] = [None] * lengths.size
-            for pos, res in zip(order, sorted_results):  # repro: loop-ok[defensive unsort]
-                results[pos] = res
-            return results
-
         batch, max_len, n_states = log_b.shape
-        rows = np.arange(batch)
-
-        delta = log_startprob[None, :] + log_b[:, 0]
-        backpointers = np.zeros(
-            (batch, max_len, n_states), dtype=viterbi_backpointer_dtype(n_states)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        order = np.argsort(lengths, kind="stable")
+        paths = np.empty(batch * max_len, dtype=np.int64)
+        log_joints = np.empty(batch)
+        log_joints[order] = self._viterbi_sweep(
+            log_startprob,
+            log_transmat,
+            log_b.reshape(batch * max_len, n_states),
+            order * max_len,
+            lengths[order],
+            paths,
         )
-        self.last_backpointer_dtype = backpointers.dtype
-        scores = np.empty((batch, n_states, n_states))
-        arg = np.empty((batch, n_states), dtype=np.intp)
-        best = np.empty(batch * n_states)
-        gather_idx = np.empty(batch * n_states, dtype=np.intp)
-        flat_offsets = np.arange(batch * n_states, dtype=np.intp) * n_states
-        for t in range(1, max_len):  # repro: loop-ok[inherent time recursion]
-            # First row still alive at time t (lengths are sorted ascending).
-            first = int(np.searchsorted(lengths, t, side="right"))
-            n_active = batch - first
-            if n_active == 0:
-                break
-            flat = n_active * n_states
-            sub_scores = scores[:n_active]
-            sub_arg = arg[:n_active]
-            np.add(
-                delta[first:, None, :], log_transmat_T[None, :, :], out=sub_scores
-            )
-            sub_scores.argmax(axis=2, out=sub_arg)
-            np.add(flat_offsets[:flat], sub_arg.reshape(-1), out=gather_idx[:flat])
-            np.take(sub_scores.reshape(-1), gather_idx[:flat], out=best[:flat])
-            np.add(
-                best[:flat].reshape(n_active, n_states),
-                log_b[first:, t],
-                out=delta[first:],
-            )
-            backpointers[first:, t] = sub_arg
-
-        final_state = delta.argmax(axis=1)
-        log_joint = delta[rows, final_state]
-
-        paths = np.zeros((batch, max_len), dtype=np.int64)
-        paths[rows, lengths - 1] = final_state
-        for t in range(max_len - 2, -1, -1):  # repro: loop-ok[inherent backtrack recursion]
-            within = (t + 1) < lengths
-            follow = backpointers[rows, t + 1, paths[:, t + 1]]
-            paths[:, t] = np.where(within, follow, paths[:, t])
-
         return [
-            (paths[b, : lengths[b]].copy(), float(log_joint[b])) for b in range(batch)
+            (paths[b * max_len : b * max_len + length].copy(), log_joint)
+            for b, (length, log_joint) in enumerate(
+                zip(lengths.tolist(), log_joints.tolist())
+            )
         ]
 
     def _viterbi_log_params(
@@ -641,9 +808,8 @@ class ScaledBatchedBackend(InferenceBackend):
         log_startprob: np.ndarray | None,
         log_transmat: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(log pi, contiguous log A^T)`` for the log-domain Viterbi kernel."""
-        log_pi, log_A = _log_params(startprob, transmat, log_startprob, log_transmat)
-        return log_pi, np.ascontiguousarray(log_A.T)
+        """``(log pi, log A)`` as :meth:`_viterbi_bucket` takes them."""
+        return _log_params(startprob, transmat, log_startprob, log_transmat)
 
     def viterbi_long(
         self,
@@ -657,7 +823,7 @@ class ScaledBatchedBackend(InferenceBackend):
         log_startprob: np.ndarray | None = None,
         log_transmat: np.ndarray | None = None,
     ) -> LongDecodeResult:
-        """Chunked Viterbi feeding window groups straight to the fused kernel.
+        """Chunked Viterbi feeding window groups straight to the sweep kernel.
 
         Each group of windows becomes one padded ``(G, window, K)`` bucket
         decoded by :meth:`_viterbi_bucket` — no per-window repack, no
@@ -667,20 +833,18 @@ class ScaledBatchedBackend(InferenceBackend):
         startprob = np.asarray(startprob, dtype=np.float64)
         transmat = np.asarray(transmat, dtype=np.float64)
         _check_params(startprob, transmat)
-        log_pi, log_AT = self._viterbi_log_params(
+        log_pi, log_A = self._viterbi_log_params(
             startprob, transmat, log_startprob, log_transmat
         )
         if group_size is None:
             group_size = self.bucket_size
 
         def decode_bucket(start_log, padded, lengths):
-            return self._viterbi_bucket(start_log, log_AT, padded, lengths)
+            return self._viterbi_bucket(start_log, log_A, padded, lengths)
 
-        # log_AT.T is exactly log(A) (the kernel keeps the transpose
-        # contiguous); reuse it for stitch scoring instead of re-deriving.
         return chunked_viterbi(
             log_pi,
-            log_AT.T,
+            log_A,
             source,
             window=window,
             overlap=overlap,
@@ -741,6 +905,7 @@ class LogDomainBackend(InferenceBackend):
         log_pi, log_A, tables = self._prepare(
             startprob, transmat, corpus, scores_ext, log_startprob, log_transmat
         )
+        check_viterbi_scores(scores_ext)
         return [viterbi_decode_from_log(log_pi, log_A, table) for table in tables]
 
     def log_likelihood_corpus(

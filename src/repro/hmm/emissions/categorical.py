@@ -65,6 +65,10 @@ class CategoricalEmission(EmissionModel):
             raise ValidationError("observation symbol out of range")
         return obs
 
+    def validate_sequence(self, sequence: np.ndarray) -> np.ndarray:
+        """The sequence as scoring sees it; non-integer tokens raise."""
+        return self._tokens(sequence)
+
     def log_likelihoods(self, sequence: np.ndarray) -> np.ndarray:
         return safe_log(self.emission_probs[:, self._tokens(sequence)].T)
 

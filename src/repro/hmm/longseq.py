@@ -11,7 +11,7 @@ counterparts:
 
 * :func:`chunked_viterbi` — split the sequence into overlapping windows of
   ``decode_window`` tokens, decode a whole *group* of windows batched as
-  one bucket through the fused log-domain Viterbi kernel (turning the
+  one bucket through the batched log-domain Viterbi kernel (turning the
   serial O(T) recursion into B-way data parallelism over windows), then
   stitch adjacent windows' paths at a high-confidence agreement run inside
   the overlap.  Window 0 starts from the true ``log pi``; later windows
@@ -49,6 +49,7 @@ from repro.hmm.forward_backward import (
     SequencePosteriors,
     compute_posteriors_from_log,
 )
+from repro.hmm.viterbi import check_viterbi_scores
 
 __all__ = [
     "ArraySource",
@@ -308,7 +309,7 @@ def chunked_viterbi(  # repro: hot-path
         tensor is ``(group_size, window, K)`` — the memory ceiling.
     decode_bucket:
         ``decode_bucket(log_startprob, log_b, lengths)`` returning one
-        ``(path, log_joint)`` per bucket row — the backend's fused Viterbi
+        ``(path, log_joint)`` per bucket row — the backend's batched Viterbi
         kernel.  The true ``log pi`` is folded into window 0's first
         emission row, so a zero (uniform) start vector is passed for every
         window; adding 0.0 is exact, keeping the single-window case
@@ -337,6 +338,9 @@ def chunked_viterbi(  # repro: hot-path
         span_start = spans[g0][0]
         span_stop = spans[g1 - 1][1]
         block = source.fetch(span_start, span_stop)
+        # Window groups cover the whole sequence, so checking each fetched
+        # block rejects a NaN anywhere without a pass per step.
+        check_viterbi_scores(block)
         wlen = spans[g0][1] - spans[g0][0]
         padded = np.empty((g1 - g0, wlen, n_states))
         for g in range(g0, g1):  # repro: loop-ok[window views into the padded bucket]

@@ -4,8 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import DimensionMismatchError
+from repro.exceptions import DimensionMismatchError, ValidationError
 from repro.utils.maths import safe_log
+
+
+def check_viterbi_scores(scores: np.ndarray) -> None:
+    """Reject an emission score table holding NaN or ``+inf``.
+
+    Max-product decoding is only defined over scores in ``[-inf, inf)``:
+    a NaN poisons every max it meets, and ``+inf`` turns into NaN the
+    moment it meets a ``-inf`` transition or emission.  One max-reduction
+    covers both (NaN propagates through it, and neither compares below
+    ``inf``); ``-inf`` entries (impossible states) stay legal.
+    """
+    scores = np.asarray(scores)
+    if scores.size and not np.max(scores) < np.inf:
+        raise ValidationError(
+            "emission log-likelihoods must not contain NaN or +inf"
+        )
 
 
 def viterbi_decode(

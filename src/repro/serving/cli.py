@@ -186,18 +186,24 @@ def _iter_jsonl(path: str):
             source.close()
 
 
-def _iter_sequence_batches(path: str, family: str, batch_size: int):
+def _iter_sequence_batches(path: str, emissions, batch_size: int):
     """Yield lists of at most ``batch_size`` sequences, reading lazily.
 
     Only one batch of parsed sequences is resident at a time, so tagging an
     arbitrarily large file is memory-bounded by the batch size (and, for
     sequences above ``InferenceConfig.long_threshold``, by the chunked
-    decode windows) — never by the file size.
+    decode windows) — never by the file size.  Each line goes through the
+    emission model's :meth:`validate_sequence`: categorical lines keep the
+    dtype JSON gives them, so ``[0, 1.5]`` is rejected, not truncated to
+    ``[0, 1]``; a rejected line is named in the error.
     """
-    dtype = np.int64 if family == "categorical" else np.float64
+    dtype = None if emissions.family == "categorical" else np.float64
     batch: list[np.ndarray] = []
-    for _, values in _iter_jsonl(path):
-        batch.append(np.asarray(values, dtype=dtype))
+    for line_no, values in _iter_jsonl(path):
+        try:
+            batch.append(emissions.validate_sequence(np.asarray(values, dtype=dtype)))
+        except (ValueError, TypeError) as exc:
+            raise ReproError(f"{path}:{line_no}: {exc}") from None
         if len(batch) >= batch_size:
             yield batch
             batch = []
@@ -214,7 +220,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
         return 2
     model = _load_registered(args)
     hmm = resolve_hmm(model)
-    batches = _iter_sequence_batches(args.input, hmm.emissions.family, args.batch_size)
+    batches = _iter_sequence_batches(args.input, hmm.emissions, args.batch_size)
 
     started = time.perf_counter()
     n_sequences = 0

@@ -51,6 +51,7 @@ in-process via :meth:`HTTPServingServer.start` on an ephemeral port.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import math
 import signal
@@ -175,6 +176,9 @@ class HTTPServingServer:
         #: requests currently inside _dispatch; touched only on the event
         #: loop thread, read (a plain int) by the draining thread.
         self._inflight = 0
+        #: open connection handler tasks; touched only on the event loop
+        #: thread, so shutdown can cancel the idle keep-alive ones.
+        self._handlers: set[asyncio.Task] = set()
 
     # -------------------------------------------------------------- #
     # Lifecycle
@@ -198,7 +202,7 @@ class HTTPServingServer:
 
     async def _bind(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._accept,
             host=self.host,
             port=self.port,
             reuse_port=self.reuse_port or None,
@@ -248,13 +252,12 @@ class HTTPServingServer:
         self._closed = True
         loop = self._loop
         if loop is not None:
-
-            def _shutdown() -> None:
-                if self._server is not None:
-                    self._server.close()
-                loop.stop()
-
-            loop.call_soon_threadsafe(_shutdown)
+            shutdown = asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
+            try:
+                shutdown.result(timeout=timeout)
+            except concurrent.futures.TimeoutError:
+                shutdown.cancel()  # stop the loop anyway; the join is bounded too
+            loop.call_soon_threadsafe(loop.stop)
             if self._thread is not None:
                 self._thread.join(timeout=timeout)
             loop.close()
@@ -265,6 +268,21 @@ class HTTPServingServer:
         for service in services:
             service.close(timeout=timeout, drain_timeout_s=drain_budget)
         self.router.close(timeout=timeout, drain_timeout_s=drain_budget)
+
+    async def _shutdown(self) -> None:
+        """Stop listening, then cancel and await every connection handler.
+
+        A keep-alive connection idles in ``reader.readline()``; stopping the
+        loop under it would leave its handler pending, to be closed later
+        against a closed loop.  Cancelling it here runs its ``finally``
+        (closing the socket) while the loop still runs.
+        """
+        if self._server is not None:
+            self._server.close()
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
 
     def serve_forever(self, drain_timeout_s: float | None = None) -> None:
         """CLI mode: serve until interrupted, then shut down cleanly.
@@ -310,6 +328,33 @@ class HTTPServingServer:
     # -------------------------------------------------------------- #
     # Connection handling
     # -------------------------------------------------------------- #
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve a new connection on a task the server owns.
+
+        Owning the task (rather than returning a coroutine for asyncio to
+        wrap) lets :meth:`_shutdown` cancel it, and keeps the cancellation
+        out of asyncio's own connection callback, which on Python 3.11
+        logs it as an error.
+        """
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._handlers.add(task)
+        task.add_done_callback(self._handler_done)
+
+    def _handler_done(self, task: asyncio.Task) -> None:
+        self._handlers.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            task.get_loop().call_exception_handler(
+                {
+                    "message": "unhandled exception in HTTP connection handler",
+                    "exception": task.exception(),
+                    "task": task,
+                }
+            )
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:

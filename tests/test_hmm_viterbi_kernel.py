@@ -17,10 +17,14 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.hmm import (
     CategoricalEmission,
+    CompiledCorpus,
     InferenceEngine,
+    LogDomainBackend,
+    ScaledBatchedBackend,
     viterbi_backpointer_dtype,
 )
-from repro.hmm.viterbi import viterbi_decode
+from repro.hmm import backends as backends_module
+from repro.hmm.viterbi import viterbi_decode, viterbi_decode_from_log
 
 
 def _engines(bucket_size=3):
@@ -207,3 +211,236 @@ class TestBackpointerDtype:
             assert g_path.max() < k
             np.testing.assert_array_equal(g_path, w_path)
             assert g_lj == w_lj
+
+
+# ------------------------------------------------------------------ #
+# Batch-last sweep kernel: edge cases against the log reference
+# ------------------------------------------------------------------ #
+def _assert_sweep_matches_reference(log_pi, log_A, tables, bucket_size=64):
+    """Decode ``tables`` through the scaled backend's corpus sweep with the
+    given log parameters and check every path and joint bit for bit."""
+    n_states = log_pi.shape[0]
+    backend = ScaledBatchedBackend(bucket_size=bucket_size)
+    corpus = CompiledCorpus(tables, bucket_size=bucket_size)
+    got = backend.viterbi_corpus(
+        np.full(n_states, 1.0 / n_states),
+        np.full((n_states, n_states), 1.0 / n_states),
+        corpus,
+        corpus.extend_scores(corpus.concat),
+        log_startprob=log_pi,
+        log_transmat=log_A,
+    )
+    assert len(got) == len(tables)
+    for (path, log_joint), table in zip(got, tables):
+        ref_path, ref_log_joint = viterbi_decode_from_log(log_pi, log_A, table)
+        np.testing.assert_array_equal(path, ref_path)
+        assert log_joint == ref_log_joint
+    return backend
+
+
+def _random_log_params(rng, n_states):
+    log_pi = np.log(rng.dirichlet(np.ones(n_states)))
+    log_A = np.log(rng.dirichlet(np.ones(n_states), size=n_states))
+    return log_pi, log_A
+
+
+class TestSweepKernelEdgeCases:
+    def test_integer_scores_tie_heavily_and_break_like_the_reference(self):
+        # Log scores and log A rounded to integers: most max-reductions see
+        # several exact ties, so any tie-breaking other than first-index
+        # shows up as a different path.
+        rng = np.random.default_rng(5)
+        for n_states in (3, 7, 15):
+            log_pi = np.round(rng.uniform(-3, 0, size=n_states))
+            log_A = np.round(rng.uniform(-3, 0, size=(n_states, n_states)))
+            lengths = rng.integers(1, 30, size=40)
+            tables = [np.round(rng.uniform(-4, 0, size=(n, n_states))) for n in lengths]
+            _assert_sweep_matches_reference(log_pi, log_A, tables)
+
+    def test_neg_inf_entries_match_the_reference(self):
+        # Impossible emissions, impossible transitions and whole -inf rows:
+        # equality with a -inf max must resolve exactly as argmax does.
+        rng = np.random.default_rng(6)
+        n_states = 6
+        log_pi, log_A = _random_log_params(rng, n_states)
+        log_A[rng.random((n_states, n_states)) < 0.3] = -np.inf
+        log_pi[0] = -np.inf
+        tables = []
+        for n in rng.integers(1, 25, size=30):
+            table = rng.normal(size=(n, n_states))
+            table[rng.random(table.shape) < 0.25] = -np.inf
+            if n > 3:
+                table[n // 2] = -np.inf
+            tables.append(table)
+        _assert_sweep_matches_reference(log_pi, log_A, tables)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 255, 256, 257])
+    def test_state_counts_across_the_uint8_boundary(self, n_states):
+        rng = np.random.default_rng(n_states)
+        log_pi, log_A = _random_log_params(rng, n_states)
+        tables = [rng.normal(size=(n, n_states)) for n in (1, 3, 4, 6)]
+        backend = _assert_sweep_matches_reference(log_pi, log_A, tables)
+        assert backend.last_backpointer_dtype == viterbi_backpointer_dtype(n_states)
+
+    @pytest.mark.parametrize("n_states", [2, 255, 256, 257])
+    def test_equality_step_across_the_uint8_boundary(self, n_states):
+        # At these K the block budget keeps blocks below the crossover, so
+        # drive the kernel directly with enough rows for the equality and
+        # rank step; the ranks K - 1 - i leave uint8 at K = 257.
+        rng = np.random.default_rng(1000 + n_states)
+        log_pi, log_A = _random_log_params(rng, n_states)
+        lengths = np.sort(rng.integers(1, 5, size=backends_module._EQUALITY_MIN_ROWS + 3))
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        table = rng.normal(size=(int(lengths.sum()), n_states))
+        paths = np.empty(table.shape[0], dtype=np.int64)
+        log_joints = backends_module._viterbi_block(
+            log_pi, log_A, table, starts, lengths, paths,
+            viterbi_backpointer_dtype(n_states),
+        )
+        for row, (start, length) in enumerate(zip(starts, lengths)):
+            ref_path, ref_log_joint = viterbi_decode_from_log(
+                log_pi, log_A, table[start : start + length]
+            )
+            np.testing.assert_array_equal(paths[start : start + length], ref_path)
+            assert log_joints[row] == ref_log_joint
+
+    def test_active_rows_either_side_of_the_crossover(self):
+        rng = np.random.default_rng(7)
+        n_states = 15
+        log_pi, log_A = _random_log_params(rng, n_states)
+        crossover = backends_module._EQUALITY_MIN_ROWS
+        for n_rows in (crossover - 1, crossover, crossover + 1, 2 * crossover):
+            # Lengths spread out so the active suffix shrinks through the
+            # crossover during the sweep.
+            tables = [rng.normal(size=(n, n_states)) for n in rng.integers(1, 40, size=n_rows)]
+            _assert_sweep_matches_reference(log_pi, log_A, tables)
+
+    def test_row_counts_either_side_of_the_block_size(self):
+        rng = np.random.default_rng(8)
+        n_states = 15
+        log_pi, log_A = _random_log_params(rng, n_states)
+        block = backends_module._SWEEP_STEP_BYTES // (8 * n_states * n_states)
+        for n_rows in (block - 1, block, block + 1):
+            tables = [rng.normal(size=(n, n_states)) for n in rng.integers(1, 6, size=n_rows)]
+            _assert_sweep_matches_reference(log_pi, log_A, tables)
+
+    def test_token_budget_splits_blocks_exactly(self, monkeypatch):
+        # A small token budget forces many blocks, including one-row ones.
+        monkeypatch.setattr(backends_module, "_SWEEP_BLOCK_TOKENS", 20)
+        rng = np.random.default_rng(9)
+        n_states = 4
+        log_pi, log_A = _random_log_params(rng, n_states)
+        tables = [rng.normal(size=(n, n_states)) for n in rng.integers(1, 30, size=25)]
+        _assert_sweep_matches_reference(log_pi, log_A, tables)
+
+    def test_sweep_blocks_cover_rows_within_budgets(self):
+        rng = np.random.default_rng(10)
+        n_states = 15
+        max_rows = backends_module._SWEEP_STEP_BYTES // (8 * n_states * n_states)
+        budget = backends_module._SWEEP_BLOCK_TOKENS
+        for lengths in (
+            np.sort(rng.integers(1, 60, size=2000)),
+            np.sort(rng.integers(100, 3000, size=400)),
+            np.array([budget + 5]),
+            np.array([1, 2, budget, budget]),
+        ):
+            blocks = backends_module._sweep_blocks(lengths, n_states)
+            assert blocks[0][0] == 0 and blocks[-1][1] == lengths.size
+            for (lo, hi), (next_lo, _) in zip(blocks, blocks[1:]):
+                assert hi == next_lo
+            for lo, hi in blocks:
+                assert 1 <= hi - lo <= max_rows
+                assert hi - lo == 1 or lengths[lo:hi].sum() <= budget
+
+    def test_length_one_sequences(self):
+        rng = np.random.default_rng(11)
+        n_states = 5
+        log_pi, log_A = _random_log_params(rng, n_states)
+        only_ones = [rng.normal(size=(1, n_states)) for _ in range(20)]
+        _assert_sweep_matches_reference(log_pi, log_A, only_ones)
+        mixed = only_ones[:7] + [rng.normal(size=(n, n_states)) for n in (2, 9, 17)]
+        _assert_sweep_matches_reference(log_pi, log_A, mixed)
+
+    def test_corpus_mixing_short_rows_and_long_windows(self):
+        # Short rows go through the sweep, long ones through the chunked
+        # decoder; each must match its reference in the same call.
+        rng = np.random.default_rng(12)
+        n_states = 4
+        startprob = rng.dirichlet(np.ones(n_states))
+        transmat = 0.85 * np.eye(n_states) + 0.15 * rng.dirichlet(
+            np.ones(n_states), size=n_states
+        )
+        transmat /= transmat.sum(axis=1, keepdims=True)
+        tables = [rng.normal(size=(n, n_states)) for n in (5, 80, 12, 1, 150, 30)]
+        corpus = CompiledCorpus(
+            tables, bucket_size=4, long_threshold=40, decode_window=32, decode_overlap=8
+        )
+        assert sorted(lw.seq_index for lw in corpus.long_windows) == [1, 4]
+        scores_ext = corpus.extend_scores(corpus.concat)
+        got = ScaledBatchedBackend(bucket_size=4).viterbi_corpus(
+            startprob, transmat, corpus, scores_ext
+        )
+        log_pi, log_A = np.log(startprob), np.log(transmat)
+        long_reference = LogDomainBackend()
+        for j, ((path, log_joint), table) in enumerate(zip(got, tables)):
+            if j in (1, 4):
+                ref = long_reference.viterbi_long(
+                    startprob, transmat, table, window=32, overlap=8
+                )
+                ref_path, ref_log_joint = ref.path, ref.log_joint
+            else:
+                ref_path, ref_log_joint = viterbi_decode_from_log(log_pi, log_A, table)
+            np.testing.assert_array_equal(path, ref_path)
+            assert log_joint == ref_log_joint
+
+
+class TestNonFiniteScores:
+    @staticmethod
+    def _model(n_states=3):
+        rng = np.random.default_rng(13)
+        return (
+            rng.dirichlet(np.ones(n_states)),
+            rng.dirichlet(np.ones(n_states), size=n_states),
+        )
+
+    @pytest.mark.parametrize("backend", ["scaled", "log"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_pos_inf_score_raises_on_corpus_decode(self, backend, bad):
+        startprob, transmat = self._model()
+        table = np.log(np.full((3, 3), 0.5))
+        table[1, 2] = bad
+        engine = InferenceEngine(backend=backend)
+        with pytest.raises(ValidationError):
+            engine.viterbi_batch(startprob, transmat, [np.zeros((2, 3)), table])
+        corpus = engine.compile([table])
+        with pytest.raises(ValidationError):
+            engine.viterbi_corpus(
+                startprob, transmat, corpus, corpus.extend_scores(corpus.concat)
+            )
+
+    @pytest.mark.parametrize("backend", ["scaled", "log"])
+    def test_nan_score_raises_on_long_decode(self, backend):
+        startprob, transmat = self._model()
+        table = np.random.default_rng(14).normal(size=(100, 3))
+        table[77, 0] = np.nan
+        engine = InferenceEngine(backend=backend)
+        with pytest.raises(ValidationError):
+            engine.viterbi_long(startprob, transmat, table, window=32, overlap=8)
+
+    @pytest.mark.parametrize("backend", ["scaled", "log"])
+    def test_neg_inf_rows_stay_legal_and_match_the_reference(self, backend):
+        startprob, transmat = self._model()
+        rng = np.random.default_rng(15)
+        impossible = np.full((3, 3), -np.inf)
+        partly = rng.normal(size=(6, 3))
+        partly[2] = -np.inf
+        partly[4, :2] = -np.inf
+        tables = [impossible, partly, rng.normal(size=(4, 3))]
+        got = InferenceEngine(backend=backend).viterbi_batch(startprob, transmat, tables)
+        log_pi, log_A = np.log(startprob), np.log(transmat)
+        for (path, log_joint), table in zip(got, tables):
+            ref_path, ref_log_joint = viterbi_decode_from_log(log_pi, log_A, table)
+            np.testing.assert_array_equal(path, ref_path)
+            assert log_joint == ref_log_joint
+        assert got[0][1] == -np.inf
+        np.testing.assert_array_equal(got[0][0], [0, 0, 0])

@@ -110,6 +110,25 @@ class TestTag:
             ["tag", "--registry", registry, "--name", "nope", "--input", sample]
         ) == 2
 
+    def test_float_tokens_are_rejected_with_line_number(
+        self, fitted_registry, tmp_path, capsys
+    ):
+        # [0, 1.5] must not be truncated to [0, 1] and tagged: the
+        # categorical integer check rejects it and the error names line 2.
+        registry, _ = fitted_registry
+        source = tmp_path / "floats.jsonl"
+        source.write_text("[0, 1, 2]\n[0, 1.5]\n")
+        code = _run(
+            [
+                "tag", "--registry", registry, "--name", "pos-tagger",
+                "--input", source, "--output", tmp_path / "tags.txt",
+            ]
+        )
+        assert code != 0
+        err = capsys.readouterr().err
+        assert f"{source}:2:" in err
+        assert "integer" in err
+
     def test_batch_size_does_not_change_output(self, fitted_registry, tmp_path):
         registry, sample = fitted_registry
         big = tmp_path / "big.txt"

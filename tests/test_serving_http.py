@@ -1,9 +1,14 @@
 """HTTP front end: endpoints, error mapping, streaming sessions, CLI flags."""
 
+import gc
+import http.client
 import json
+import logging
+import sys
 import threading
 import urllib.error
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +230,44 @@ class TestLifecycle:
         server.close()
         with pytest.raises(urllib.error.URLError):
             _get(server, "/healthz")
+
+    def test_close_with_idle_keep_alive_connection_is_clean(
+        self, tmp_path, models, caplog, monkeypatch
+    ):
+        # A keep-alive client left idle after one request: closing the
+        # server must end its handler on the running loop, not leave it
+        # pending to be torn down later against a closed loop.
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("pos", models["alpha"])
+        unraisable = []
+        monkeypatch.setattr(
+            sys, "unraisablehook", lambda info: unraisable.append(repr(info.exc_value))
+        )
+        server = HTTPServingServer(registry, port=0).start()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/v1/models/pos/tag",
+                body=json.dumps({"sequence": [0, 1, 2]}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                    server.close()
+                    gc.collect()
+        finally:
+            conn.close()
+        reported = "\n".join(
+            [caplog.text, *unraisable, *(str(w.message) for w in caught)]
+        )
+        assert "Event loop is closed" not in reported
+        assert "unclosed <socket" not in reported
+        assert "Task was destroyed but it is pending" not in reported
 
     def test_scheduling_policy_flows_through_config(self, tmp_path, models):
         registry = ModelRegistry(tmp_path / "registry")
